@@ -537,6 +537,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (
+        # LinAlgError is a ValueError, so this clause comes first
+        np.linalg.LinAlgError,
+        models.spla.ArpackNoConvergence,
+        NumericalError,
+        TableauConsistencyError,
+        MemoryCapError,
+    ) as exc:
+        sys.stderr.write(f"numerical failure: {exc}\n")
+        return NUMERICAL_EXIT
+    except (
         ConfigurationError,
         NonCliffordGateError,
         DimensionMismatchError,
@@ -545,9 +555,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return CONFIG_EXIT
-    except (NumericalError, TableauConsistencyError, MemoryCapError) as exc:
-        sys.stderr.write(f"numerical failure: {exc}\n")
-        return NUMERICAL_EXIT
 
 
 if __name__ == "__main__":

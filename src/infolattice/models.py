@@ -186,79 +186,61 @@ class PottsSpec:
                 raise ConfigurationError(f"{name} must be finite and nonnegative")
 
 
-def _site_operator(op: np.ndarray, site: int, n: int) -> sp.csr_matrix:
-    mats = [sp.identity(3, format="csr", dtype=complex)] * n
-    mats[site] = sp.csr_matrix(op)
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return out
+def _digits(n: int) -> np.ndarray:
+    """Qutrit digits of every basis index, site 0 most significant."""
+    return np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+
+
+def _shifted(n: int, sites: Sequence[int], step: int = 1) -> np.ndarray:
+    """Every basis index after adding ``step`` mod 3 to the digits at ``sites``."""
+    digits = _digits(n)
+    digits[:, sites] = (digits[:, sites] + step) % 3
+    return digits @ 3 ** np.arange(n - 1, -1, -1)
 
 
 def potts_hamiltonian(spec: PottsSpec) -> sp.csr_matrix:
-    """Sparse Hermitian Hamiltonian on the full 3^N space, open boundaries."""
+    """Sparse Hermitian Hamiltonian on the full 3^N space, open boundaries.
+
+    The clock terms are diagonal; X_i and Xd_i are the basis permutations
+    that shift digit i by one and by two.
+    """
     n = spec.qutrits
     dim = 3**n
-    h = sp.csr_matrix((dim, dim), dtype=complex)
-    zdz = CLOCK_Z.conj().T
+    z = np.diag(CLOCK_Z)[_digits(n)]
+    diag = np.zeros(dim, dtype=complex)
     for i in range(n - 1):
-        zi = _site_operator(CLOCK_Z, i, n)
-        zdi = _site_operator(zdz, i, n)
-        zj = _site_operator(CLOCK_Z, i + 1, n)
-        zdj = _site_operator(zdz, i + 1, n)
-        h = h - (spec.coupling / 3.0) * (zdi @ zj + zi @ zdj)
-    for i in range(n):
-        xi = _site_operator(SHIFT_X, i, n)
-        h = h - spec.field * (xi.conj().T + xi)
-    return h.tocsr()
+        bond = z[:, i].conj() * z[:, i + 1] + z[:, i] * z[:, i + 1].conj()
+        diag = diag - (spec.coupling / 3.0) * bond
+    shifts = [_shifted(n, [i], step) for i in range(n) for step in (1, 2)]
+    rows = np.concatenate([np.arange(dim), *shifts])
+    cols = np.tile(np.arange(dim), 2 * n + 1)
+    data = np.concatenate([diag, np.full(2 * n * dim, -spec.field, dtype=complex)])
+    h = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+    h.eliminate_zeros()  # a zero coupling or field adds no stored entries
+    return h
 
 
 def charge_operator(n: int) -> sp.csr_matrix:
     """Global shift ``prod_i X_i`` as a sparse basis permutation."""
     dim = 3**n
-    rows = np.empty(dim, dtype=np.int64)
-    for idx in range(dim):
-        rem, out, place = idx, 0, 1
-        for _ in range(n):
-            out += ((rem % 3 + 1) % 3) * place
-            rem //= 3
-            place *= 3
-        rows[idx] = out
-    data = np.ones(dim)
-    return sp.csr_matrix((data, (rows, np.arange(dim))), shape=(dim, dim))
+    rows = _shifted(n, range(n))
+    return sp.csr_matrix((np.ones(dim), (rows, np.arange(dim))), shape=(dim, dim))
 
 
 def symmetric_sector_isometry(n: int) -> sp.csr_matrix:
     """Isometry onto the charge-0 sector of ``prod_i X_i`` (dimension 3^{N-1}).
 
     Basis orbits under the global shift have size three; each orbit
-    contributes the uniform combination of its members.
+    contributes the uniform combination of its members, in the column ranked
+    by the orbit's smallest member.
     """
     dim = 3**n
-
-    def shifted(idx: int) -> int:
-        rem, out, place = idx, 0, 1
-        for _ in range(n):
-            out += ((rem % 3 + 1) % 3) * place
-            rem //= 3
-            place *= 3
-        return out
-
-    cols: list[int] = []
-    rows: list[int] = []
-    seen = np.zeros(dim, dtype=bool)
-    col = 0
-    for idx in range(dim):
-        if seen[idx]:
-            continue
-        orbit = [idx, shifted(idx), shifted(shifted(idx))]
-        for member in orbit:
-            seen[member] = True
-            rows.append(member)
-            cols.append(col)
-        col += 1
-    data = np.full(len(rows), 1.0 / np.sqrt(3.0))
-    return sp.csr_matrix((data, (rows, cols)), shape=(dim, col))
+    smallest = np.minimum.reduce(
+        [np.arange(dim), _shifted(n, range(n), 1), _shifted(n, range(n), 2)]
+    )
+    _, cols = np.unique(smallest, return_inverse=True)
+    data = np.full(dim, 1.0 / np.sqrt(3.0))
+    return sp.csr_matrix((data, (np.arange(dim), cols)), shape=(dim, dim // 3))
 
 
 def symmetric_ground_state(
@@ -337,6 +319,7 @@ class SweepPoint:
             self.omega,
             self.localized,
             self.long_range_witnessed,
+            self.error,
         ]
 
     def to_dict(self) -> dict:
@@ -362,6 +345,7 @@ SWEEP_CSV_COLUMNS = [
     "omega",
     "localized",
     "long_range_witnessed",
+    "error",
 ]
 
 

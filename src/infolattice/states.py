@@ -37,6 +37,9 @@ class PureState:
                 f"amplitude count {amps.size} does not match dims {dims}"
             )
         norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):
+            # a NaN or inf amplitude makes the norm NaN or inf
+            raise ValueError(f"state norm {norm} is not finite")
         if normalize:
             if norm == 0.0:
                 raise ValueError("cannot normalize the zero vector")
@@ -231,6 +234,10 @@ class ReducedDensityMatrix:
 
 def entropy_bits(rho: np.ndarray) -> float:
     """Spectral von Neumann entropy in bits with clamping of tiny negatives."""
+    # LAPACK may return finite garbage for a NaN matrix, e.g. [0, -0] for
+    # diag(nan, 1), so the matrix itself is checked
+    if not np.isfinite(rho).all():
+        raise NumericalError("density matrix has non-finite entries")
     lam = np.linalg.eigvalsh(rho)
     if float(lam.min(initial=0.0)) < -1e-9:
         raise NumericalError(f"density matrix has eigenvalue {lam.min()} < -1e-9")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import jsonschema
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from infolattice import circuits, load_amplitudes
 from infolattice.cli import main
@@ -263,7 +264,7 @@ class TestCLI:
         assert self.run("potts-sweep", "--sizes", "8", "--h", "0.0,0.75",
                         "--out", str(out)) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "L,h,gamma,gamma_folded,omega,localized,long_range_witnessed"
+        assert lines[0] == "L,h,gamma,gamma_folded,omega,localized,long_range_witnessed,error"
         assert len(lines) == 3
         assert lines[1].startswith("8,0.0,1.5849625007")
 
@@ -299,3 +300,33 @@ class TestCLI:
 
     def test_missing_file(self, capsys):
         assert self.run("lattice", "--circuit", "/nonexistent.qc") == 2
+
+    def test_nan_amplitudes_rejected(self, tmp_path, capsys):
+        path = tmp_path / "nan.txt"
+        path.write_text("dims 2 2\nnan 0\n0 0\n0 0\n0 0\n")
+        assert self.run("witness", "--amplitudes", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "target,exc,argv",
+        [
+            (
+                "infolattice.cli.compute_lattice",
+                np.linalg.LinAlgError("Eigenvalues did not converge"),
+                ["lattice", "--state", "ghz", "--L", "4"],
+            ),
+            (
+                "infolattice.models.spla.eigsh",
+                ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((0, 0))),
+                ["witness", "--potts", "N=7,h=0.3"],
+            ),
+        ],
+    )
+    def test_solver_failure_numerical_exit(self, monkeypatch, capsys, target, exc, argv):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(target, fail)
+        assert self.run(*argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")

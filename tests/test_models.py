@@ -1,6 +1,7 @@
 """Model factory: reference states, Potts chain, embedding, T-doped circuits."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import scipy.sparse as sp
 from infolattice import PureState, compute_lattice, summarize
 from infolattice.errors import ConfigurationError
 from infolattice.models import (
+    CLOCK_Z,
+    SHIFT_X,
     PottsSpec,
     SWEEP_CSV_COLUMNS,
     TDopedCircuitSpec,
@@ -28,6 +31,24 @@ from infolattice.models import (
 )
 
 SQ2 = 1 / np.sqrt(2)
+
+
+def site_chain(n, ops):
+    """Dense kron over n qutrits: ``ops[i]`` at site i, identity elsewhere."""
+    return reduce(np.kron, [ops.get(i, np.eye(3)) for i in range(n)])
+
+
+def dense_potts(n, coupling, field):
+    """The module docstring's Hamiltonian, term by term with dense krons."""
+    zd = CLOCK_Z.conj().T
+    h = np.zeros((3**n, 3**n), dtype=complex)
+    for i in range(n - 1):
+        bond = site_chain(n, {i: zd, i + 1: CLOCK_Z}) + site_chain(n, {i: CLOCK_Z, i + 1: zd})
+        h = h - (coupling / 3.0) * bond
+    for i in range(n):
+        x = site_chain(n, {i: SHIFT_X})
+        h = h - field * (x.conj().T + x)
+    return h
 
 
 class TestReferenceStates:
@@ -79,12 +100,25 @@ class TestPottsHamiltonian:
         h = potts_hamiltonian(PottsSpec(3, 1.0, 0.4))
         assert (abs(h - h.conj().T) > 1e-12).nnz == 0
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("j,field", [(1.0, 0.0), (1.0, 0.3), (0.7, 0.55), (0.0, 0.4)])
+    def test_matches_dense_formula(self, n, j, field):
+        h = potts_hamiltonian(PottsSpec(n, j, field))
+        assert np.array_equal(h.toarray(), dense_potts(n, j, field))
+
     @pytest.mark.parametrize("n,j,field", [(2, 1.0, 0.3), (3, 0.5, 0.0), (4, 1.0, 1.2)])
     def test_charge_symmetry(self, n, j, field):
         h = potts_hamiltonian(PottsSpec(n, j, field))
         q = charge_operator(n)
         comm = h @ q - q @ h
         assert abs(comm).max() < 1e-12
+        shift = site_chain(n, dict.fromkeys(range(n), SHIFT_X.real))
+        assert np.array_equal(q.toarray(), shift)
+        # sector columns: shift orbits, uniform weights, ordered by smallest member
+        orbits = (np.eye(3**n) + shift + shift @ shift) != 0
+        first = [b for b in range(3**n) if np.flatnonzero(orbits[:, b])[0] == b]
+        p_ref = orbits[:, first] / np.sqrt(3.0)
+        assert np.array_equal(symmetric_sector_isometry(n).toarray(), p_ref)
 
     def test_charge_is_order_three(self):
         q = charge_operator(3)
@@ -225,6 +259,9 @@ class TestSweep:
         rows = potts_sweep([9, 8], [0.0])  # odd qubit length fails
         assert rows[0].error is not None and rows[0].gamma is None
         assert rows[1].error is None and rows[1].gamma is not None
+        error_col = SWEEP_CSV_COLUMNS.index("error")
+        assert rows[0].to_csv_row()[error_col] == rows[0].error
+        assert rows[1].to_csv_row()[error_col] is None
 
     def test_qutrit_granularity(self):
         point, _ = potts_point(4, 0.0, granularity="qutrit")

@@ -29,6 +29,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PureState([1.0, 1.0], (2,))
         PureState([1.0, 1.0], (2,), normalize=True)
+        # abs(nan - 1) > tol is False, so NaN needs its own check
+        for bad in (np.nan, np.inf, complex(0, np.nan)):
+            for normalize in (False, True):
+                with pytest.raises(ValueError):
+                    PureState([bad, 0.0], (2,), normalize=normalize)
 
     def test_dims_validation(self):
         with pytest.raises(DimensionMismatchError):
@@ -133,6 +138,8 @@ class TestEntropy:
     def test_corrupted_spectrum(self):
         with pytest.raises(NumericalError):
             entropy_bits(np.diag([1.1, -0.1]))
+        with pytest.raises(NumericalError):
+            entropy_bits(np.diag([np.nan, 1.0]))  # lam > 0 would drop the NaN
 
     def test_von_neumann_entropy_accepts_rdm(self):
         s = PureState.from_label("00")
