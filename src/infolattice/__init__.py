@@ -7,7 +7,6 @@ scale summaries, the folding coarse-graining, and witnesses of
 nonstabilizerness from noninteger local information.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .lattice import (
     DEFAULT_GAP_THRESHOLD,
     GapWindow,
@@ -43,6 +42,9 @@ from .witness import (
 )
 
 __version__ = "0.1.0"
+
+# the row-reduction kernel is pure Python; the name stays for run records
+KERNEL_BACKEND = "pure"
 
 __all__ = [
     "KERNEL_BACKEND",

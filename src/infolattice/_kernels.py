@@ -1,9 +1,8 @@
-"""Pure-Python row-reduction kernel over signed Pauli rows.
+"""Row-reduction kernel over signed Pauli rows.
 
 Rows are packed as Python integers (bit ``j`` of ``x``/``z`` is the X/Z
-exponent on site ``j``) with an ``i``-exponent phase in {0,1,2,3}.  The
-compiled kernel in ``_core`` implements the same contract for L <= 64;
-this version works for any chain length.
+exponent on site ``j``) with an ``i``-exponent phase in {0,1,2,3}, so any
+chain length works.
 """
 
 from __future__ import annotations

@@ -36,8 +36,8 @@ from .lattice import (
     gamma_folded,
     summarize,
 )
-from .states import PureState, load_amplitudes
-from .tableau import StabilizerTableau, statevector_from_tableau
+from .states import PureState, amplitudes_text, load_amplitudes
+from .tableau import StabilizerTableau, random_clifford_circuit, statevector_from_tableau
 from .witness import DEFAULT_TOL, GROUND_STATE_TOL, LatticeVerdict, witness_long_range
 
 CONFIG_EXIT = 2
@@ -113,6 +113,17 @@ def lattice_dump(
     }
 
 
+def _emit_amplitudes(state: PureState, args: argparse.Namespace) -> None:
+    if args.format == "json":
+        payload = {
+            "dims": list(state.dims),
+            "amplitudes": [[float(a.real), float(a.imag)] for a in state.amps],
+        }
+        _emit(_json_text(payload), args.out)
+    else:
+        _emit(amplitudes_text(state), args.out)
+
+
 def pretty_lattice(lat: InfoLattice, tol: float) -> str:
     """Triangle rendering, apex on top; integer-valued sites are bracketed
     (mirroring the bold circles of lattice figures)."""
@@ -178,25 +189,33 @@ def load_state(args: argparse.Namespace) -> tuple[PureState, Optional[Stabilizer
         return models.embed_qutrit_to_spins(gs), None
 
     kind, payload = circuits.load_circuit_file(args.circuit, args.seed)
-    if kind == "gates":
-        circuit = payload
-        if circuits.circuit_is_clifford(circuit):
-            t = circuits.run_circuit_tableau(circuit, args.length)
-            return statevector_from_tableau(t), t
-        return circuits.run_circuit_dense(circuit, args.length), None
-    if kind == "generators":
-        t = StabilizerTableau.from_generators(payload)
+    t = _source_tableau(kind, payload, args.length)
+    if t is not None:
         return statevector_from_tableau(t), t
-    if kind == "t_doped":
-        return models.t_doped_state(payload), None
-    # random_clifford family
-    length, layers, seed = payload
-    from .tableau import random_clifford_circuit
+    return _dense_source_state(kind, payload, args.length), None
 
-    t = random_clifford_circuit(length, layers, seed).apply_to_tableau(
-        StabilizerTableau.zero_state(length)
-    )
-    return statevector_from_tableau(t), t
+
+def _source_tableau(
+    kind: str, payload, length: Optional[int]
+) -> Optional[StabilizerTableau]:
+    """Tableau of a Clifford circuit-file source; None for a non-Clifford one."""
+    if kind == "generators":
+        return StabilizerTableau.from_generators(payload)
+    if kind == "gates" and circuits.circuit_is_clifford(payload):
+        return circuits.run_circuit_tableau(payload, length)
+    if kind == "random_clifford":
+        length, layers, seed = payload
+        return random_clifford_circuit(length, layers, seed).apply_to_tableau(
+            StabilizerTableau.zero_state(length)
+        )
+    return None
+
+
+def _dense_source_state(kind: str, payload, length: Optional[int]) -> PureState:
+    """Dense state of a non-Clifford circuit-file source."""
+    if kind == "t_doped":
+        return models.t_doped_state(payload)
+    return circuits.run_circuit_dense(payload, length)
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +254,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_fold(args) -> int:
     state, _ = load_state(args)
-    folded = fold(state)
-    if args.format == "json":
-        payload = {
-            "dims": list(folded.dims),
-            "amplitudes": [[float(a.real), float(a.imag)] for a in folded.amps],
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        buf = io.StringIO()
-        buf.write("dims " + " ".join(str(d) for d in folded.dims) + "\n")
-        for a in folded.amps:
-            buf.write(f"{float(a.real)!r} {float(a.imag)!r}\n")
-        _emit(buf.getvalue(), args.out)
+    _emit_amplitudes(fold(state), args)
     return 0
 
 
@@ -265,19 +272,11 @@ def cmd_witness(args) -> int:
 def cmd_mlgs(args) -> int:
     if args.circuit is not None:
         kind, payload = circuits.load_circuit_file(args.circuit, args.seed)
-        if kind == "gates":
-            t = circuits.run_circuit_tableau(payload, args.length)
-        elif kind == "generators":
-            t = StabilizerTableau.from_generators(payload)
-        elif kind == "random_clifford":
-            from .tableau import random_clifford_circuit
-
-            length, layers, seed = payload
-            t = random_clifford_circuit(length, layers, seed).apply_to_tableau(
-                StabilizerTableau.zero_state(length)
+        t = _source_tableau(kind, payload, args.length)
+        if t is None:
+            raise NonCliffordGateError(
+                "mlgs needs a stabilizer state; the circuit source is not Clifford"
             )
-        else:
-            raise NonCliffordGateError("T-doped sources are not stabilizer states")
     elif args.state is not None:
         if args.length is None:
             raise ConfigurationError("--state needs --L")
@@ -393,35 +392,9 @@ def cmd_circuit_run(args) -> int:
     if args.circuit is None:
         raise ConfigurationError("circuit-run needs --circuit")
     kind, payload = circuits.load_circuit_file(args.circuit, args.seed)
-    if kind == "generators":
-        t = StabilizerTableau.from_generators(payload)
-    elif kind == "gates" and circuits.circuit_is_clifford(payload):
-        t = circuits.run_circuit_tableau(payload, args.length)
-    elif kind == "random_clifford":
-        from .tableau import random_clifford_circuit
-
-        length, layers, seed = payload
-        t = random_clifford_circuit(length, layers, seed).apply_to_tableau(
-            StabilizerTableau.zero_state(length)
-        )
-    else:
-        state = (
-            models.t_doped_state(payload)
-            if kind == "t_doped"
-            else circuits.run_circuit_dense(payload, args.length)
-        )
-        if args.format == "json":
-            payload_out = {
-                "dims": list(state.dims),
-                "amplitudes": [[float(a.real), float(a.imag)] for a in state.amps],
-            }
-            _emit(_json_text(payload_out), args.out)
-        else:
-            buf = io.StringIO()
-            buf.write("dims " + " ".join(str(d) for d in state.dims) + "\n")
-            for a in state.amps:
-                buf.write(f"{float(a.real)!r} {float(a.imag)!r}\n")
-            _emit(buf.getvalue(), args.out)
+    t = _source_tableau(kind, payload, args.length)
+    if t is None:
+        _emit_amplitudes(_dense_source_state(kind, payload, args.length), args)
         return 0
     if args.format == "json":
         _emit(_json_text({"L": t.length, "generators": t.labels()}), args.out)

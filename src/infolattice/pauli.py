@@ -192,7 +192,7 @@ def row_reduce(generators: Sequence[PauliString]) -> tuple[list[PauliString], in
     xs = [g.x for g in gens]
     zs = [g.z for g in gens]
     ph = [g.phase_exp for g in gens]
-    rank, _ = _kernels.reduce_pauli_rows(xs, zs, ph, default_column_order(length), length)
+    rank, _ = _kernels.reduce_pauli_rows(xs, zs, ph, default_column_order(length))
     basis = [PauliString(length, xs[k], zs[k], ph[k]) for k in range(rank)]
     return basis, rank
 

@@ -223,6 +223,9 @@ class ReducedDensityMatrix:
 
     def __post_init__(self) -> None:
         m = self.matrix
+        # both checks below come out False for NaN
+        if not np.isfinite(m).all():
+            raise NumericalError("RDM has non-finite entries")
         if abs(float(np.trace(m).real) - 1.0) > 1e-10:
             raise NumericalError(f"RDM trace {np.trace(m)} deviates from 1")
         if float(np.max(np.abs(m - m.conj().T))) > 1e-12:
@@ -282,12 +285,17 @@ def haar_random_state(dims: Sequence[int], rng: np.random.Generator) -> PureStat
     return PureState(v, dims, normalize=True)
 
 
+def amplitudes_text(state: PureState) -> str:
+    """Text format: header line with the dims, then one ``re im`` pair per row."""
+    lines = ["dims " + " ".join(str(d) for d in state.dims)]
+    lines += [f"{float(a.real)!r} {float(a.imag)!r}" for a in state.amps]
+    return "\n".join(lines) + "\n"
+
+
 def save_amplitudes(state: PureState, path: str) -> None:
-    """Text export: header line with the dims, then one ``re im`` pair per row."""
+    """Write ``amplitudes_text(state)`` to ``path``."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("dims " + " ".join(str(d) for d in state.dims) + "\n")
-        for a in state.amps:
-            fh.write(f"{float(a.real)!r} {float(a.imag)!r}\n")
+        fh.write(amplitudes_text(state))
 
 
 def load_amplitudes(path: str) -> PureState:

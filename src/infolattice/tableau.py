@@ -2,10 +2,16 @@
 exact integer information lattice, and maximally local generating sets.
 
 A tableau holds L independent commuting Hermitian generators; |0...0> is
-generated by {Z_0, ..., Z_{L-1}}.  Interval restrictions eliminate exterior
-symplectic columns first (leftmost exterior site first), so the rows whose
-pivots land in interior columns generate exactly the subgroup supported on
-the interval.
+generated by {Z_0, ..., Z_{L-1}}.  Interval ranks come from the clipped
+gauge (Nahum, Ruhman, Vijay & Haah, PRX 7, 031016): a generating set in
+which at most two generators start, and at most two end, on any site, with
+independent single-site operators there.  In that gauge the subgroup
+supported on an interval is generated by the generators that lie inside it,
+so one reduction per tableau yields every interval rank, and the entropy
+|A| - rank(S_A) of any interval, for any chain length.  Explicit subgroup
+generators of one interval (``restrict_subgroup``) eliminate exterior
+symplectic columns first, so the rows whose pivots land in interior columns
+generate exactly the subgroup supported on the interval.
 """
 
 from __future__ import annotations
@@ -74,9 +80,7 @@ class StabilizerTableau:
             xs = [g.x for g in gens]
             zs = [g.z for g in gens]
             ph = [g.phase_exp for g in gens]
-            rank, _ = _kernels.reduce_pauli_rows(
-                xs, zs, ph, default_column_order(length), length
-            )
+            rank, _ = _kernels.reduce_pauli_rows(xs, zs, ph, default_column_order(length))
             if rank != length:
                 raise TableauConsistencyError(
                     f"generators span rank {rank} < {length}"
@@ -119,9 +123,7 @@ class StabilizerTableau:
         xs = list(self._xs) + [p.x]
         zs = list(self._zs) + [p.z]
         ph = list(self._ph) + [p.phase_exp]
-        rank, _ = _kernels.reduce_pauli_rows(
-            xs, zs, ph, default_column_order(self.length), self.length
-        )
+        rank, _ = _kernels.reduce_pauli_rows(xs, zs, ph, default_column_order(self.length))
         return rank == self.length
 
     # -- Clifford evolution ---------------------------------------------------
@@ -173,7 +175,7 @@ class StabilizerTableau:
         xs = list(self._xs)
         zs = list(self._zs)
         ph = list(self._ph)
-        rank, pivots = _kernels.reduce_pauli_rows(xs, zs, ph, cols, L)
+        rank, pivots = _kernels.reduce_pauli_rows(xs, zs, ph, cols)
         n_ext_cols = 2 * len(exterior)
         inside = sum(1 for p in pivots if p >= n_ext_cols)
         gens = [
@@ -181,21 +183,69 @@ class StabilizerTableau:
         ]
         return gens, inside
 
+    def _clipped_endpoints(self) -> list[tuple[int, int]]:
+        """``(left, right)`` support endpoints of a clipped-gauge generating set.
+
+        Works on phaseless copies of the rows.  Zero rows are dropped, so a
+        dependent set (``from_generators(validate=False)``) yields one pair per
+        independent generator of its span.
+        """
+        xs = list(self._xs)
+        zs = list(self._zs)
+        # step 1: echelon form on left endpoints, columns x0, z0, x1, z1, ...
+        rank = 0
+        for c in default_column_order(self.length):
+            rows = zs if (c & 1) else xs
+            bit = 1 << (c >> 1)
+            pivot = next((r for r in range(rank, len(rows)) if rows[r] & bit), None)
+            if pivot is None:
+                continue
+            xs[rank], xs[pivot] = xs[pivot], xs[rank]
+            zs[rank], zs[pivot] = zs[pivot], zs[rank]
+            for r in range(rank + 1, len(rows)):
+                if rows[r] & bit:
+                    xs[r] ^= xs[rank]
+                    zs[r] ^= zs[rank]
+            rank += 1
+        del xs[rank:], zs[rank:]
+        left = [((x | z) & -(x | z)).bit_length() - 1 for x, z in zip(xs, zs)]
+        # step 2: clear right endpoints, sites from right to left.  A row is
+        # only added into rows whose left endpoint is not larger than its own,
+        # so left endpoints never move.
+        for site in range(self.length - 1, -1, -1):
+            bit = 1 << site
+            ending = [k for k in range(rank) if (xs[k] | zs[k]).bit_length() == site + 1]
+            for rows in (xs, zs):
+                hits = [k for k in ending if rows[k] & bit]
+                if not hits:
+                    continue
+                p = max(hits, key=left.__getitem__)
+                for k in hits:
+                    if k != p:
+                        xs[k] ^= xs[p]
+                        zs[k] ^= zs[p]
+                ending.remove(p)
+        return [(left[k], (xs[k] | zs[k]).bit_length() - 1) for k in range(rank)]
+
     def stabilizer_entropy(self, interval: SupportInterval) -> float:
         """Subsystem entropy in bits: interval size minus subgroup rank."""
-        _, rank = self.restrict_subgroup(interval)
+        self._check_interval(interval)
+        rank = sum(
+            1
+            for a, b in self._clipped_endpoints()
+            if interval.contains(a) and interval.contains(b)
+        )
         return float(interval.num_sites - rank)
 
     def interval_rank_table(self) -> list[list[int]]:
         """Subgroup ranks of all intervals, indexed ``[scale][left]``."""
         L = self.length
-        return [
-            [
-                self.restrict_subgroup(SupportInterval(left, left + scale))[1]
-                for left in range(L - scale)
-            ]
-            for scale in range(L)
-        ]
+        counts = np.zeros((L, L), dtype=np.int64)
+        for a, b in self._clipped_endpoints():
+            counts[a, b] += 1
+        # inside[a, b]: generators with a <= left and right <= b
+        inside = counts[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
+        return [np.diagonal(inside, scale).tolist() for scale in range(L)]
 
     def integer_info_lattice(self) -> InfoLattice:
         """Exact integer lattice from subgroup ranks (rank-difference form)."""
@@ -211,6 +261,12 @@ class StabilizerTableau:
         to right and the interval subgroup's row-reduced generators are
         admitted while independent of everything admitted so far.  Each entry
         records the lattice site at which it was admitted.
+
+        Only intervals with a nonzero integer lattice site are visited.  When
+        [a, b] is reached, the admitted span already contains the subgroups of
+        [a+1, b] and [a, b-1], so at most i(n, l) generators are admitted
+        there; both the admitted counts and the lattice sum to L, so an
+        interval with i = 0 admits nothing.
         """
         L = self.length
         entries: list[MLGSEntry] = []
@@ -239,14 +295,12 @@ class StabilizerTableau:
             acc_piv.append(pivot_col)
             return True
 
-        for scale in range(L):
-            for left in range(L - scale):
+        for scale, row in enumerate(self.integer_info_lattice().rows):
+            for left in np.flatnonzero(row).tolist():
                 gens, _ = self.restrict_subgroup(SupportInterval(left, left + scale))
                 for g in gens:
                     if admit(g):
                         entries.append(MLGSEntry(g, left + scale / 2, scale))
-            if len(entries) == L:
-                break
         if len(entries) != L:
             raise TableauConsistencyError(
                 f"maximally local set has {len(entries)} < {L} generators"

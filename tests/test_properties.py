@@ -3,9 +3,10 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from infolattice import compute_lattice
+from infolattice.pauli import PauliString, SupportInterval
 from infolattice.states import haar_random_state
 from infolattice.tableau import (
     StabilizerTableau,
@@ -16,6 +17,8 @@ from infolattice.tableau import (
 # small chains and few examples keep the suite fast; derandomized so that
 # every run checks the same examples
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+# restrict_subgroup on every interval costs O(L^4) row operations per chain
+FEW = settings(PROPERTY, max_examples=8)
 
 # lowest dense lattice site: sites that are exactly 0 come out of the
 # eigensolve as float noise of either sign, a few 1e-12 at these sizes
@@ -61,3 +64,42 @@ def test_tableau_and_dense_lattices_agree(length, layers, seed):
     t = brickwork_tableau(length, layers, seed)
     exact = t.integer_info_lattice()
     assert compute_lattice(statevector_from_tableau(t)).allclose(exact, atol=1e-9)
+
+
+def assert_gauge_matches_restriction(t, intervals=None):
+    L = t.length
+    table = t.interval_rank_table()
+    if intervals is None:
+        intervals = [(a, b) for a in range(L) for b in range(a, L)]
+    for a, b in intervals:
+        assert table[b - a][a] == t.restrict_subgroup(SupportInterval(a, b))[1], (a, b)
+
+
+@FEW
+@given(st.integers(2, 80), st.integers(0, 6), seeds)
+@example(length=70, layers=3, seed=0)  # past the 64 bits of one machine word
+def test_gauge_ranks_match_restriction(length, layers, seed):
+    assert_gauge_matches_restriction(brickwork_tableau(length, layers, seed))
+
+
+@PROPERTY
+@given(st.integers(2, 10), st.integers(0, 8), seeds, st.data())
+def test_gauge_ranks_match_restriction_dependent_sets(length, layers, seed, data):
+    gens = brickwork_tableau(length, layers, seed).generators
+    picked = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=length + 3))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(picked), st.sampled_from(picked)), max_size=3))
+    products = [PauliString(length, a.x ^ b.x, a.z ^ b.z) for a, b in pairs]
+    t = StabilizerTableau.from_generators(picked + products, validate=False)
+    assert_gauge_matches_restriction(t)
+
+
+def test_gauge_at_two_hundred_sites():
+    t = brickwork_tableau(200, 3, 2024)
+    lat = t.integer_info_lattice()
+    assert lat.total() == 200
+    assert all(v >= 0 and v == round(v) for _, _, v in lat.sites())
+    # restricting every interval would take minutes; a seeded sample stands in
+    rng = np.random.default_rng(200)
+    lefts = rng.integers(0, 200, size=60)
+    rights = [int(rng.integers(a, 200)) for a in lefts]
+    assert_gauge_matches_restriction(t, list(zip(lefts.tolist(), rights)) + [(0, 199)])

@@ -13,6 +13,7 @@ from infolattice.errors import (
 from infolattice.pauli import SupportInterval
 from infolattice.states import (
     PureState,
+    ReducedDensityMatrix,
     apply_pauli,
     entropy_bits,
     haar_random_state,
@@ -140,6 +141,9 @@ class TestEntropy:
             entropy_bits(np.diag([1.1, -0.1]))
         with pytest.raises(NumericalError):
             entropy_bits(np.diag([np.nan, 1.0]))  # lam > 0 would drop the NaN
+        for bad in (np.diag([np.nan, 1.0]), np.array([[0.5, np.inf], [np.inf, 0.5]])):
+            with pytest.raises(NumericalError):
+                ReducedDensityMatrix(SupportInterval(0, 0), (2,), bad)
 
     def test_von_neumann_entropy_accepts_rdm(self):
         s = PureState.from_label("00")
