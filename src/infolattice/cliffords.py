@@ -27,9 +27,9 @@ _GENERATORS = {
 
 @lru_cache(maxsize=None)
 def _words(num_qubits: int) -> tuple[tuple[gates.Gate, ...], ...]:
-    start = tuple(
-        row for q in range(num_qubits) for row in ((1 << q, 0, 0), (0, 1 << q, 0))
-    )
+    # state: bit planes and sign mask of the images of X_q (row 2q) and Z_q (row 2q + 1)
+    qubits = range(num_qubits)
+    start = (tuple(1 << 2 * q for q in qubits), tuple(2 << 2 * q for q in qubits), 0)
     found: dict[tuple, tuple[gates.Gate, ...]] = {start: ()}
     order = [start]
     queue = deque([start])
@@ -37,11 +37,9 @@ def _words(num_qubits: int) -> tuple[tuple[gates.Gate, ...], ...]:
         cur = queue.popleft()
         word = found[cur]
         for gen in _GENERATORS[num_qubits]:
-            xs = [r[0] for r in cur]
-            zs = [r[1] for r in cur]
-            ph = [r[2] for r in cur]
-            gates.apply_gate_rows(xs, zs, ph, gen[0], gen[1])
-            nxt = tuple(zip(xs, zs, ph))
+            xcols, zcols = list(cur[0]), list(cur[1])
+            sign = gates.conjugate_columns(xcols, zcols, cur[2], gen[0], gen[1])
+            nxt = (tuple(xcols), tuple(zcols), sign)
             if nxt not in found:
                 found[nxt] = word + (gen,)
                 order.append(nxt)

@@ -1,8 +1,9 @@
 """Elementary gate set: tableau conjugation rules and dense matrices.
 
-The tableau rules act in place on parallel lists of packed Pauli rows
-(``xs``, ``zs`` ints with bit ``j`` = site ``j``; ``ph`` i-exponents mod 4),
-conjugating every row by the gate.  Dense matrices follow the global
+The tableau rules act on bit planes: one packed int per site holding that
+site's X (or Z) bit of every Pauli row, plus one sign mask, so a gate costs a
+few big-int operations whatever the number of rows (the column-packed update
+of Aaronson & Gottesman, quant-ph/0406196).  Dense matrices follow the global
 convention that lower site indices are more significant tensor factors.
 """
 
@@ -23,67 +24,40 @@ def is_clifford(name: str) -> bool:
     return name in CLIFFORD_GATES
 
 
-def apply_gate_rows(xs: list[int], zs: list[int], ph: list[int], name: str, qubits: tuple[int, ...]) -> None:
-    """Conjugate every packed Pauli row by the named Clifford gate, in place."""
-    n = len(xs)
+def conjugate_columns(
+    xcols: list[int], zcols: list[int], sign: int, name: str, qubits: tuple[int, ...]
+) -> int:
+    """Conjugate every row by the named Clifford gate; returns the new sign mask.
+
+    ``xcols[j]`` / ``zcols[j]`` hold the X / Z bits of site ``j`` of every row
+    (bit ``r`` = row ``r``) and are updated in place; bit ``r`` of ``sign`` is
+    set when row ``r`` carries a minus sign.
+    """
     if name == "H":
         (q,) = qubits
-        b = 1 << q
-        for r in range(n):
-            xq = xs[r] & b
-            zq = zs[r] & b
-            if xq and zq:
-                ph[r] = (ph[r] + 2) % 4
-            elif xq or zq:
-                xs[r] ^= b
-                zs[r] ^= b
+        sign ^= xcols[q] & zcols[q]
+        xcols[q], zcols[q] = zcols[q], xcols[q]
     elif name == "S":
         (q,) = qubits
-        b = 1 << q
-        for r in range(n):
-            xq = xs[r] & b
-            if xq:
-                if zs[r] & b:
-                    ph[r] = (ph[r] + 2) % 4
-                zs[r] ^= b
+        sign ^= xcols[q] & zcols[q]
+        zcols[q] ^= xcols[q]
     elif name == "X":
-        (q,) = qubits
-        b = 1 << q
-        for r in range(n):
-            if zs[r] & b:
-                ph[r] = (ph[r] + 2) % 4
+        sign ^= zcols[qubits[0]]
     elif name == "Z":
-        (q,) = qubits
-        b = 1 << q
-        for r in range(n):
-            if xs[r] & b:
-                ph[r] = (ph[r] + 2) % 4
+        sign ^= xcols[qubits[0]]
     elif name == "CNOT":
         c, t = qubits
-        bc, bt = 1 << c, 1 << t
-        for r in range(n):
-            xc = bool(xs[r] & bc)
-            zt = bool(zs[r] & bt)
-            if xc and zt and (bool(xs[r] & bt) == bool(zs[r] & bc)):
-                ph[r] = (ph[r] + 2) % 4
-            if xc:
-                xs[r] ^= bt
-            if zt:
-                zs[r] ^= bc
+        sign ^= xcols[c] & zcols[t] & ~(xcols[t] ^ zcols[c])
+        xcols[t] ^= xcols[c]
+        zcols[c] ^= zcols[t]
     elif name == "CZ":
-        a, b_ = qubits
-        ba, bb = 1 << a, 1 << b_
-        for r in range(n):
-            xa = bool(xs[r] & ba)
-            xb = bool(xs[r] & bb)
-            if xa and xb and (bool(zs[r] & ba) != bool(zs[r] & bb)):
-                ph[r] = (ph[r] + 2) % 4
-            if xb:
-                zs[r] ^= ba
-            if xa:
-                zs[r] ^= bb
+        a, b = qubits
+        sign ^= xcols[a] & xcols[b] & (zcols[a] ^ zcols[b])
+        zcols[a] ^= xcols[b]
+        zcols[b] ^= xcols[a]
     else:
         raise NonCliffordGateError(f"gate {name!r} is not in the Clifford set")
+    return sign
 
 
 _SQ2 = 1.0 / np.sqrt(2.0)

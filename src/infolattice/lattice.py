@@ -90,24 +90,15 @@ def lattice_from_interval_info(
 ) -> InfoLattice:
     """Second-difference a table ``info[l][left]`` of interval informations."""
     L = len(log2_dims)
-
-    def at(left: int, scale: int) -> float:
-        if scale < 0:
-            return 0.0
-        return info[scale][left]
-
+    # intervals of negative scale carry no information
+    prev2 = np.zeros(L + 2)
+    prev = np.zeros(L + 1)
     rows = []
     for scale in range(L):
-        row = np.empty(L - scale)
-        for left in range(L - scale):
-            v = (
-                at(left, scale)
-                - at(left, scale - 1)
-                - at(left + 1, scale - 1)
-                + at(left + 1, scale - 2)
-            )
-            row[left] = 0.0 if abs(v) < CLAMP_EPS else v
-        rows.append(row)
+        cur = np.asarray(info[scale], dtype=float)
+        v = cur - prev[:-1] - prev[1:] + prev2[1:-1]
+        rows.append(np.where(np.abs(v) < CLAMP_EPS, 0.0, v))
+        prev2, prev = prev, cur
     return InfoLattice(tuple(log2_dims), tuple(rows))
 
 

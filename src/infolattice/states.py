@@ -197,7 +197,9 @@ class PureState:
             )
         t = self.amps.reshape(a, m, c)
         rho = np.einsum("amc,bmd->acbd", t, t.conj()).reshape(a * c, a * c)
-        return 0.5 * (rho + rho.conj().T)
+        rho = 0.5 * (rho + rho.conj().T)
+        _check_density(rho, "complement density matrix")
+        return rho
 
     def entropy_of_interval(
         self, interval: SupportInterval, max_side: int = DEFAULT_MAX_RDM_SIDE
@@ -222,17 +224,21 @@ class ReducedDensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = self.matrix
-        # both checks below come out False for NaN
-        if not np.isfinite(m).all():
-            raise NumericalError("RDM has non-finite entries")
-        if abs(float(np.trace(m).real) - 1.0) > 1e-10:
-            raise NumericalError(f"RDM trace {np.trace(m)} deviates from 1")
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-12:
-            raise NumericalError("RDM is not Hermitian within 1e-12")
+        _check_density(self.matrix, "RDM")
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
+
+
+def _check_density(m: np.ndarray, what: str) -> None:
+    """Raise NumericalError unless ``m`` is finite, Hermitian and of unit trace."""
+    # the trace and Hermiticity checks both come out False for NaN
+    if not np.isfinite(m).all():
+        raise NumericalError(f"{what} has non-finite entries")
+    if abs(float(m.trace().real) - 1.0) > 1e-10:
+        raise NumericalError(f"{what} trace {m.trace()} deviates from 1")
+    if float(np.abs(m - m.conj().T).max()) > 1e-12:
+        raise NumericalError(f"{what} is not Hermitian within 1e-12")
 
 
 def entropy_bits(rho: np.ndarray) -> float:
@@ -305,10 +311,13 @@ def load_amplitudes(path: str) -> PureState:
             raise ValueError(f"{path}: missing 'dims' header")
         dims = [int(tok) for tok in header[1:]]
         amps = []
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
                 continue
-            re_s, im_s = line.split()
-            amps.append(complex(float(re_s), float(im_s)))
+            try:
+                re_s, im_s = line.split()
+                amps.append(complex(float(re_s), float(im_s)))
+            except ValueError:
+                msg = f"{path}:{lineno}: expected 're im', got {line.strip()!r}"
+                raise ValueError(msg) from None
     return PureState(np.array(amps), dims)

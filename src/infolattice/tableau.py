@@ -2,20 +2,21 @@
 exact integer information lattice, and maximally local generating sets.
 
 A tableau holds L independent commuting Hermitian generators; |0...0> is
-generated by {Z_0, ..., Z_{L-1}}.  Interval ranks come from the clipped
-gauge (Nahum, Ruhman, Vijay & Haah, PRX 7, 031016): a generating set in
-which at most two generators start, and at most two end, on any site, with
-independent single-site operators there.  In that gauge the subgroup
-supported on an interval is generated by the generators that lie inside it,
-so one reduction per tableau yields every interval rank, and the entropy
-|A| - rank(S_A) of any interval, for any chain length.  Explicit subgroup
-generators of one interval (``restrict_subgroup``) eliminate exterior
-symplectic columns first, so the rows whose pivots land in interior columns
-generate exactly the subgroup supported on the interval.
+generated by {Z_0, ..., Z_{L-1}}.  Tableaux are never mutated: evolution
+returns a new one and runs on per-site X/Z bit planes of the rows (Aaronson
+& Gottesman, quant-ph/0406196).  Everything else comes from the clipped
+gauge (Nahum, Ruhman, Vijay & Haah, PRX 7, 031016), cached per tableau: a
+signed generating set in which at most two generators start, and at most two
+end, on any site, with independent single-site operators there.  The
+subgroup supported on an interval is generated by the gauge generators
+inside it, so interval ranks, entropies |A| - rank(S_A) and the integer
+lattice follow by counting, and ``restrict_subgroup`` reduces only those
+generators, over the interval's columns.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -28,7 +29,7 @@ from .errors import (
     NonCliffordGateError,
     TableauConsistencyError,
 )
-from .lattice import InfoLattice, lattice_from_interval_info
+from .lattice import InfoLattice
 from .pauli import PauliString, SupportInterval, default_column_order
 from .states import PureState, apply_pauli
 
@@ -36,13 +37,13 @@ from .states import PureState, apply_pauli
 class StabilizerTableau:
     """L signed Pauli generators of a stabilizer group on L qubits."""
 
-    __slots__ = ("length", "_xs", "_zs", "_ph")
+    __slots__ = ("length", "_xs", "_zs", "_ph", "_gauge")
 
     def __init__(self, length: int, xs: list[int], zs: list[int], ph: list[int]):
         self.length = length
-        self._xs = xs
-        self._zs = zs
-        self._ph = ph
+        # copied, because the cached gauge relies on tableaux never changing
+        self._xs, self._zs, self._ph = list(xs), list(zs), list(ph)
+        self._gauge: list[tuple[int, ...]] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -61,6 +62,9 @@ class StabilizerTableau:
         if not gens:
             raise ValueError("empty generator list")
         length = gens[0].length
+        xs = [g.x for g in gens]
+        zs = [g.z for g in gens]
+        ph = [g.phase_exp for g in gens]
         if validate:
             if len(gens) != length:
                 raise TableauConsistencyError(
@@ -77,17 +81,14 @@ class StabilizerTableau:
                         raise TableauConsistencyError(
                             f"generators {a} and {b} anticommute"
                         )
-            xs = [g.x for g in gens]
-            zs = [g.z for g in gens]
-            ph = [g.phase_exp for g in gens]
-            rank, _ = _kernels.reduce_pauli_rows(xs, zs, ph, default_column_order(length))
+            rank, _ = _kernels.reduce_pauli_rows(
+                list(xs), list(zs), list(ph), default_column_order(length)
+            )
             if rank != length:
                 raise TableauConsistencyError(
                     f"generators span rank {rank} < {length}"
                 )
-        return cls(
-            length, [g.x for g in gens], [g.z for g in gens], [g.phase_exp for g in gens]
-        )
+        return cls(length, xs, zs, ph)
 
     # -- views ---------------------------------------------------------------
 
@@ -100,11 +101,6 @@ class StabilizerTableau:
 
     def labels(self) -> list[str]:
         return [g.label() for g in self.generators]
-
-    def copy(self) -> "StabilizerTableau":
-        return StabilizerTableau(
-            self.length, list(self._xs), list(self._zs), list(self._ph)
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StabilizerTableau):
@@ -141,17 +137,25 @@ class StabilizerTableau:
 
     def apply_clifford(self, name: str, *qubits: int) -> "StabilizerTableau":
         """New tableau with every generator conjugated by the gate."""
-        self._check_gate(name, qubits)
-        out = self.copy()
-        gates.apply_gate_rows(out._xs, out._zs, out._ph, name, qubits)
-        return out
+        return self.apply_circuit([(name, qubits)])
 
     def apply_circuit(self, circuit: Iterable[gates.Gate]) -> "StabilizerTableau":
-        out = self.copy()
+        """New tableau with every generator conjugated by each gate in turn.
+
+        The rows are transposed once into per-site bit planes, so that a gate
+        costs a few big-int operations instead of one update per row.
+        """
+        n = len(self._xs)
+        xcols = _transpose(self._xs, self.length)
+        zcols = _transpose(self._zs, self.length)
+        odd, sign = _transpose(self._ph, 2)
         for name, qubits in circuit:
-            out._check_gate(name, tuple(qubits))
-            gates.apply_gate_rows(out._xs, out._zs, out._ph, name, tuple(qubits))
-        return out
+            qubits = tuple(qubits)
+            self._check_gate(name, qubits)
+            sign = gates.conjugate_columns(xcols, zcols, sign, name, qubits)
+        return StabilizerTableau(
+            self.length, _transpose(xcols, n), _transpose(zcols, n), _transpose([odd, sign], n)
+        )
 
     # -- interval subgroups -----------------------------------------------------
 
@@ -164,93 +168,103 @@ class StabilizerTableau:
     ) -> tuple[list[PauliString], int]:
         """Generators of the stabilizer subgroup supported inside the interval.
 
-        Returns ``(generators, rank)``; the generators are row-reduced and in
-        deterministic order.
+        Returns ``(generators, rank)``.  The generators are the fully reduced
+        row echelon form of the subgroup in column order x_a, z_a, x_{a+1},
+        ..., which is unique, and each carries the sign of its group element.
+        The clipped-gauge generators inside the interval generate the
+        subgroup, so only they are reduced, over the interval's columns.  If
+        the span contains -I (possible for ``from_generators(validate=False)``)
+        signs are undefined; the rank and the Pauli letters still hold.
         """
         self._check_interval(interval)
-        L = self.length
-        exterior = [s for s in range(L) if not interval.contains(s)]
-        cols = [2 * s + w for s in exterior for w in (0, 1)]
-        cols += [2 * s + w for s in interval.sites() for w in (0, 1)]
-        xs = list(self._xs)
-        zs = list(self._zs)
-        ph = list(self._ph)
-        rank, pivots = _kernels.reduce_pauli_rows(xs, zs, ph, cols)
-        n_ext_cols = 2 * len(exterior)
-        inside = sum(1 for p in pivots if p >= n_ext_cols)
-        gens = [
-            PauliString(L, xs[k], zs[k], ph[k]) for k in range(rank - inside, rank)
-        ]
-        return gens, inside
+        gauge = self._clipped_gauge()
+        a, b = interval.left, interval.right
+        starting = gauge[bisect_left(gauge, (a,)) : bisect_left(gauge, (b + 1,))]
+        rows = [r for r in starting if r[1] <= b]
+        xs = [r[2] for r in rows]
+        zs = [r[3] for r in rows]
+        ph = [r[4] for r in rows]
+        rank, _ = _kernels.reduce_pauli_rows(xs, zs, ph, list(range(2 * a, 2 * b + 2)))
+        return [PauliString(self.length, xs[k], zs[k], ph[k]) for k in range(rank)], rank
 
-    def _clipped_endpoints(self) -> list[tuple[int, int]]:
-        """``(left, right)`` support endpoints of a clipped-gauge generating set.
+    def _clipped_gauge(self) -> list[tuple[int, ...]]:
+        """``(left, right, x, z, phase)`` of every clipped-gauge generator, sorted.
 
-        Works on phaseless copies of the rows.  Zero rows are dropped, so a
-        dependent set (``from_generators(validate=False)``) yields one pair per
-        independent generator of its span.
+        Computed once per tableau by phase-exact row products.  Step 1 sweeps
+        the sites left to right: of the rows starting at a site it keeps one
+        with an X bit there and one with only a Z bit, and multiplies the
+        others by these until they start further right.  Step 2 does the same
+        for right endpoints, multiplying by the ending row with the largest
+        left endpoint so that left endpoints never move.  Zero rows are
+        dropped: a dependent set yields one generator per rank of its span.
         """
-        xs = list(self._xs)
-        zs = list(self._zs)
-        # step 1: echelon form on left endpoints, columns x0, z0, x1, z1, ...
-        rank = 0
-        for c in default_column_order(self.length):
-            rows = zs if (c & 1) else xs
-            bit = 1 << (c >> 1)
-            pivot = next((r for r in range(rank, len(rows)) if rows[r] & bit), None)
-            if pivot is None:
-                continue
-            xs[rank], xs[pivot] = xs[pivot], xs[rank]
-            zs[rank], zs[pivot] = zs[pivot], zs[rank]
-            for r in range(rank + 1, len(rows)):
-                if rows[r] & bit:
-                    xs[r] ^= xs[rank]
-                    zs[r] ^= zs[rank]
-            rank += 1
-        del xs[rank:], zs[rank:]
-        left = [((x | z) & -(x | z)).bit_length() - 1 for x, z in zip(xs, zs)]
-        # step 2: clear right endpoints, sites from right to left.  A row is
-        # only added into rows whose left endpoint is not larger than its own,
-        # so left endpoints never move.
-        for site in range(self.length - 1, -1, -1):
-            bit = 1 << site
-            ending = [k for k in range(rank) if (xs[k] | zs[k]).bit_length() == site + 1]
-            for rows in (xs, zs):
-                hits = [k for k in ending if rows[k] & bit]
-                if not hits:
-                    continue
-                p = max(hits, key=left.__getitem__)
-                for k in hits:
-                    if k != p:
+        if self._gauge is not None:
+            return self._gauge
+        xs, zs, ph = list(self._xs), list(self._zs), list(self._ph)
+
+        def sweep(rows, sites, end, pick) -> dict[int, int]:
+            # rows are bucketed by their endpoint; returns kept row -> site
+            buckets: list[list[int]] = [[] for _ in range(self.length)]
+            for k in rows:
+                if xs[k] | zs[k]:
+                    buckets[end(xs[k] | zs[k])].append(k)
+            kept = {}
+            for site in sites:
+                bit = 1 << site
+                pending = buckets[site]
+                for plane in (xs, zs):
+                    hits = [k for k in pending if plane[k] & bit]
+                    if not hits:
+                        continue
+                    p = pick(hits)
+                    kept[p] = site
+                    pending.remove(p)
+                    hits.remove(p)
+                    for k in hits:
+                        delta = _kernels.pauli_mul_phase(xs[k], zs[k], xs[p], zs[p])
+                        ph[k] = (ph[k] + ph[p] + delta) % 4
                         xs[k] ^= xs[p]
                         zs[k] ^= zs[p]
-                ending.remove(p)
-        return [(left[k], (xs[k] | zs[k]).bit_length() - 1) for k in range(rank)]
+                for k in pending:  # no longer touching the site
+                    if xs[k] | zs[k]:
+                        buckets[end(xs[k] | zs[k])].append(k)
+            return kept
+
+        L = self.length
+        left = sweep(range(len(xs)), range(L), lambda o: (o & -o).bit_length() - 1, min)
+        right = sweep(
+            left,
+            range(L - 1, -1, -1),
+            lambda o: o.bit_length() - 1,
+            lambda hits: max(hits, key=left.__getitem__),
+        )
+        self._gauge = sorted((left[k], right[k], xs[k], zs[k], ph[k]) for k in left)
+        return self._gauge
 
     def stabilizer_entropy(self, interval: SupportInterval) -> float:
         """Subsystem entropy in bits: interval size minus subgroup rank."""
         self._check_interval(interval)
-        rank = sum(
-            1
-            for a, b in self._clipped_endpoints()
-            if interval.contains(a) and interval.contains(b)
-        )
+        a, b = interval.left, interval.right
+        rank = sum(1 for left, right, *_ in self._clipped_gauge() if a <= left and right <= b)
         return float(interval.num_sites - rank)
 
     def interval_rank_table(self) -> list[list[int]]:
         """Subgroup ranks of all intervals, indexed ``[scale][left]``."""
         L = self.length
         counts = np.zeros((L, L), dtype=np.int64)
-        for a, b in self._clipped_endpoints():
+        for a, b, *_ in self._clipped_gauge():
             counts[a, b] += 1
         # inside[a, b]: generators with a <= left and right <= b
         inside = counts[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
         return [np.diagonal(inside, scale).tolist() for scale in range(L)]
 
     def integer_info_lattice(self) -> InfoLattice:
-        """Exact integer lattice from subgroup ranks (rank-difference form)."""
-        ranks = self.interval_rank_table()
-        return lattice_from_interval_info((1.0,) * self.length, ranks)
+        """Exact integer lattice: the second difference of the interval ranks
+        counts the gauge generators with support endpoints exactly [a, b]."""
+        rows = [np.zeros(self.length - scale) for scale in range(self.length)]
+        for a, b, *_ in self._clipped_gauge():
+            rows[b - a][a] += 1
+        return InfoLattice((1.0,) * self.length, tuple(rows))
 
     # -- maximally local generating set -------------------------------------------
 
@@ -272,40 +286,52 @@ class StabilizerTableau:
         entries: list[MLGSEntry] = []
         acc_x: list[int] = []
         acc_z: list[int] = []
-        acc_piv: list[int] = []
-        col_order = default_column_order(L)
+        row_at: dict[int, int] = {}  # pivot column -> accumulated row
 
-        def admit(g: PauliString) -> bool:
-            rx, rz = _kernels.reduce_vector_against(acc_x, acc_z, acc_piv, g.x, g.z)
+        def admit(g: PauliString, a: int, b: int) -> bool:
+            # the accumulated rows are fully reduced, so only those with a
+            # pivot column on g's sites [a, b] can cancel bits of g
+            cols = [c for c in range(2 * a, 2 * b + 2) if c in row_at]
+            rows = [row_at[c] for c in cols]
+            rx, rz = _kernels.reduce_vector_against(
+                [acc_x[k] for k in rows], [acc_z[k] for k in rows], cols, g.x, g.z
+            )
             if rx == 0 and rz == 0:
                 return False
-            pivot_col = next(
-                c
-                for c in col_order
-                if ((rz if (c & 1) else rx) >> (c >> 1)) & 1
-            )
-            bit = 1 << (pivot_col >> 1)
+            # pivot: the first set column in the order x0, z0, x1, z1, ...
+            site = ((rx | rz) & -(rx | rz)).bit_length() - 1
+            bit = 1 << site
+            pivot_col = 2 * site + (0 if rx & bit else 1)
+            plane = acc_z if pivot_col & 1 else acc_x
             for k in range(len(acc_x)):
-                row_bits = acc_z[k] if (pivot_col & 1) else acc_x[k]
-                if row_bits & bit:
+                if plane[k] & bit:
                     acc_x[k] ^= rx
                     acc_z[k] ^= rz
+            row_at[pivot_col] = len(acc_x)
             acc_x.append(rx)
             acc_z.append(rz)
-            acc_piv.append(pivot_col)
             return True
 
         for scale, row in enumerate(self.integer_info_lattice().rows):
             for left in np.flatnonzero(row).tolist():
                 gens, _ = self.restrict_subgroup(SupportInterval(left, left + scale))
                 for g in gens:
-                    if admit(g):
+                    if admit(g, left, left + scale):
                         entries.append(MLGSEntry(g, left + scale / 2, scale))
         if len(entries) != L:
             raise TableauConsistencyError(
                 f"maximally local set has {len(entries)} < {L} generators"
             )
         return entries
+
+
+def _transpose(words: list[int], width: int) -> list[int]:
+    """Bit-matrix transpose: bit r of output j (j < width) is bit j of ``words[r]``."""
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(b"".join(w.to_bytes(nbytes, "little") for w in words), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(words), nbytes), axis=1, count=width, bitorder="little")
+    planes = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(plane.tobytes(), "little") for plane in planes]
 
 
 @dataclass(frozen=True)
@@ -373,9 +399,8 @@ class CliffordCircuit:
         seq: list[gates.Gate] = []
         for layer in self.assignments:
             for (a, b), idx in layer:
-                mapping = {0: a, 1: b}
-                for name, qubits in cliffords.clifford_word(2, idx):
-                    seq.append((name, tuple(mapping[q] for q in qubits)))
+                bond = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
+                seq += [(name, bond[qs]) for name, qs in cliffords.clifford_word(2, idx)]
         return seq
 
     def apply_to_tableau(self, t: StabilizerTableau) -> StabilizerTableau:

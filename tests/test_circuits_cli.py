@@ -308,6 +308,13 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    def test_malformed_amplitude_row_rejected(self, tmp_path, capsys):
+        path = tmp_path / "short.txt"
+        path.write_text("dims 2\n1.0 0.0\n0.0\n")
+        assert self.run("lattice", "--amplitudes", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}:3: ")
+
     @pytest.mark.parametrize(
         "target,exc,argv",
         [

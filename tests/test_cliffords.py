@@ -1,5 +1,7 @@
 """Clifford group enumeration: counts, uniqueness, word/matrix consistency."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,17 @@ def test_sample_indices_deterministic():
     rng1 = np.random.Generator(np.random.Philox(7))
     rng2 = np.random.Generator(np.random.Philox(7))
     assert cliffords.sample_indices(rng1, 2, 10) == cliffords.sample_indices(rng2, 2, 10)
+
+
+# SHA-256 of repr(cliffords._words(n)) as enumerated with per-row conjugation
+# rules; the index -> word tables must never move, or seeded circuits would
+WORD_TABLE_SHA256 = {
+    1: "a2e05bf4315e8a8bd53d2789dac15b5e81ea420799a40b1f5e40b1cb1add4ea8",
+    2: "c0873b55117b49f29c9e63d18762a79137760b94edbac64f84d450dde06851df",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_word_tables_pinned(n):
+    digest = hashlib.sha256(repr(cliffords._words(n)).encode()).hexdigest()
+    assert digest == WORD_TABLE_SHA256[n]

@@ -20,6 +20,7 @@ from infolattice import (
     interleave,
     summarize,
 )
+from infolattice.lattice import CLAMP_EPS, lattice_from_interval_info
 from infolattice.models import cat_state, edge_bell_state, reference_state
 from infolattice.states import haar_random_state
 
@@ -238,3 +239,45 @@ class TestInvariants:
         assert lat.value(0.5, 1) == pytest.approx(1.0, abs=1e-10)
         with pytest.raises(KeyError):
             lat.value(0.3, 1)
+
+
+def second_differences_by_loop(log2_dims, info):
+    """Double-loop oracle for ``lattice_from_interval_info``."""
+
+    def at(left, scale):
+        return 0.0 if scale < 0 else info[scale][left]
+
+    L = len(log2_dims)
+    rows = []
+    for scale in range(L):
+        row = np.empty(L - scale)
+        for left in range(L - scale):
+            v = (
+                at(left, scale)
+                - at(left, scale - 1)
+                - at(left + 1, scale - 1)
+                + at(left + 1, scale - 2)
+            )
+            row[left] = 0.0 if abs(v) < CLAMP_EPS else v
+        rows.append(row)
+    return rows
+
+
+def test_second_differences_match_double_loop():
+    rng = np.random.default_rng(33)
+    # offsets put many second differences just inside and just outside the clamp
+    offsets = CLAMP_EPS * np.array([0.0, -0.0, 0.3, -0.3, 0.99, -0.99, 1.0, -1.0, 1.01, 2.5, -2.5])
+    for trial in range(120):
+        L = int(rng.integers(1, 34))
+        if trial % 3 == 0:  # integer rank tables, as the exact engine passes them
+            info = [rng.integers(0, 4, size=L - l).tolist() for l in range(L)]
+        else:
+            info = [
+                rng.integers(0, 4, size=L - l) + rng.choice(offsets, size=L - l) for l in range(L)
+            ]
+            if trial % 3 == 1:
+                info = [row.tolist() for row in info]
+        lat = lattice_from_interval_info((1.0,) * L, info)
+        for got, want in zip(lat.rows, second_differences_by_loop((1.0,) * L, info), strict=True):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))  # sign of zero too

@@ -5,7 +5,8 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from infolattice import compute_lattice
+from infolattice import _kernels, compute_lattice
+from infolattice.lattice import lattice_from_interval_info
 from infolattice.pauli import PauliString, SupportInterval
 from infolattice.states import haar_random_state
 from infolattice.tableau import (
@@ -66,13 +67,36 @@ def test_tableau_and_dense_lattices_agree(length, layers, seed):
     assert compute_lattice(statevector_from_tableau(t)).allclose(exact, atol=1e-9)
 
 
-def assert_gauge_matches_restriction(t, intervals=None):
+def restrict_by_full_reduction(length, rows, a, b):
+    """Oracle for ``restrict_subgroup``: reduce all ``(x, z, phase)`` rows,
+    exterior symplectic columns first; the rows whose pivots land on [a, b]
+    generate the subgroup supported there."""
+    exterior = [s for s in range(length) if not a <= s <= b]
+    cols = [2 * s + w for s in exterior for w in (0, 1)] + list(range(2 * a, 2 * b + 2))
+    xs, zs, ph = (list(col) for col in zip(*rows))
+    rank, pivots = _kernels.reduce_pauli_rows(xs, zs, ph, cols)
+    inside = sum(1 for p in pivots if p >= 2 * len(exterior))
+    return [PauliString(length, xs[k], zs[k], ph[k]) for k in range(rank - inside, rank)]
+
+
+def assert_gauge_matches_restriction(t, intervals=None, signed=True):
+    """Gauge rank table and ``restrict_subgroup`` against the oracle.
+
+    Signs are compared only when ``signed``: the span of a dependent set may
+    contain -I, and then an element's sign is undefined.
+    """
     L = t.length
     table = t.interval_rank_table()
+    rows = [(g.x, g.z, g.phase_exp) for g in t.generators]
     if intervals is None:
         intervals = [(a, b) for a in range(L) for b in range(a, L)]
     for a, b in intervals:
-        assert table[b - a][a] == t.restrict_subgroup(SupportInterval(a, b))[1], (a, b)
+        expected = restrict_by_full_reduction(L, rows, a, b)
+        gens, rank = t.restrict_subgroup(SupportInterval(a, b))
+        assert table[b - a][a] == rank == len(expected), (a, b)
+        # signed generators as (x, z, phase) triples; labels would cost O(L) each
+        key = (lambda g: (g.x, g.z, g.phase_exp)) if signed else (lambda g: (g.x, g.z))
+        assert [key(g) for g in gens] == [key(g) for g in expected], (a, b)
 
 
 @FEW
@@ -90,7 +114,16 @@ def test_gauge_ranks_match_restriction_dependent_sets(length, layers, seed, data
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(picked), st.sampled_from(picked)), max_size=3))
     products = [PauliString(length, a.x ^ b.x, a.z ^ b.z) for a, b in pairs]
     t = StabilizerTableau.from_generators(picked + products, validate=False)
-    assert_gauge_matches_restriction(t)
+    assert_gauge_matches_restriction(t, signed=False)
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(0, 8), seeds)
+def test_gauge_lattice_is_second_difference_of_ranks(length, layers, seed):
+    t = brickwork_tableau(max(length, 2), layers, seed)
+    ranks = lattice_from_interval_info((1.0,) * t.length, t.interval_rank_table())
+    for got, want in zip(t.integer_info_lattice().rows, ranks.rows, strict=True):
+        assert np.array_equal(got, want) and not np.signbit(got).any()
 
 
 def test_gauge_at_two_hundred_sites():

@@ -1,5 +1,7 @@
 """Dense engine: gates, reductions, entropies, import/export."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -145,6 +147,16 @@ class TestEntropy:
             with pytest.raises(NumericalError):
                 ReducedDensityMatrix(SupportInterval(0, 0), (2,), bad)
 
+    def test_complement_density_checks(self):
+        s = haar_random_state((2,) * 4, np.random.default_rng(8))
+        iv = SupportInterval(1, 2)
+        t = s.amps.reshape(2, 4, 2)
+        rho = np.einsum("amc,bmd->acbd", t, t.conj()).reshape(4, 4)
+        np.testing.assert_array_equal(s.complement_density(iv), 0.5 * (rho + rho.conj().T))
+        s.amps[0] = np.nan  # corrupt a state that passed construction
+        with pytest.raises(NumericalError):
+            s.complement_density(iv)
+
     def test_von_neumann_entropy_accepts_rdm(self):
         s = PureState.from_label("00")
         rdm = s.reduced_density(SupportInterval(0, 0))
@@ -202,4 +214,11 @@ class TestMirrorAndIO:
         path = tmp_path / "bad.txt"
         path.write_text("1.0 0.0\n")
         with pytest.raises(ValueError):
+            load_amplitudes(str(path))
+
+    @pytest.mark.parametrize("row", ["0.5", "0.5 0.0 0.0", "0.5 zero"])
+    def test_load_rejects_malformed_row(self, tmp_path, row):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"dims 2\n1.0 0.0\n\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             load_amplitudes(str(path))

@@ -1,12 +1,14 @@
 """Stabilizer engine: gate conjugation, interval subgroups, integer lattice,
 maximally local generating sets, and the dense bridge."""
 
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import dense_pauli, ensemble_specs, random_pauli
+from infolattice import _kernels
 from infolattice.errors import (
     MemoryCapError,
     NonCliffordGateError,
@@ -101,6 +103,96 @@ class TestCliffordConjugation:
             t.apply_clifford("H", 3)
         with pytest.raises(ValueError):
             t.apply_clifford("CNOT", 1, 1)
+
+
+def conjugate_rows(xs, zs, ph, name, qubits):
+    """Per-row conjugation rules, in place: the oracle for bit-plane evolution."""
+    n = len(xs)
+    if name == "H":
+        (q,) = qubits
+        b = 1 << q
+        for r in range(n):
+            xq = xs[r] & b
+            zq = zs[r] & b
+            if xq and zq:
+                ph[r] = (ph[r] + 2) % 4
+            elif xq or zq:
+                xs[r] ^= b
+                zs[r] ^= b
+    elif name == "S":
+        (q,) = qubits
+        b = 1 << q
+        for r in range(n):
+            xq = xs[r] & b
+            if xq:
+                if zs[r] & b:
+                    ph[r] = (ph[r] + 2) % 4
+                zs[r] ^= b
+    elif name == "X":
+        (q,) = qubits
+        b = 1 << q
+        for r in range(n):
+            if zs[r] & b:
+                ph[r] = (ph[r] + 2) % 4
+    elif name == "Z":
+        (q,) = qubits
+        b = 1 << q
+        for r in range(n):
+            if xs[r] & b:
+                ph[r] = (ph[r] + 2) % 4
+    elif name == "CNOT":
+        c, t = qubits
+        bc, bt = 1 << c, 1 << t
+        for r in range(n):
+            xc = bool(xs[r] & bc)
+            zt = bool(zs[r] & bt)
+            if xc and zt and (bool(xs[r] & bt) == bool(zs[r] & bc)):
+                ph[r] = (ph[r] + 2) % 4
+            if xc:
+                xs[r] ^= bt
+            if zt:
+                zs[r] ^= bc
+    elif name == "CZ":
+        a, b_ = qubits
+        ba, bb = 1 << a, 1 << b_
+        for r in range(n):
+            xa = bool(xs[r] & ba)
+            xb = bool(xs[r] & bb)
+            if xa and xb and (bool(zs[r] & ba) != bool(zs[r] & bb)):
+                ph[r] = (ph[r] + 2) % 4
+            if xb:
+                zs[r] ^= ba
+            if xa:
+                zs[r] ^= bb
+
+
+class TestBitPlaneEvolution:
+    @pytest.mark.parametrize("L", [1, 63, 64, 65, 130])
+    def test_matches_per_row_rules(self, L):
+        gen = random.Random(L)
+        names = ["H", "S", "X", "Z"] + (["CNOT", "CZ"] if L > 1 else [])
+        for n in (1, L, 2 * L + 1):  # a single row, a full tableau, more rows than sites
+            xs = [gen.getrandbits(L) for _ in range(n)]
+            zs = [gen.getrandbits(L) for _ in range(n)]
+            ph = [gen.randrange(4) for _ in range(n)]  # odd phases ride along
+            t = StabilizerTableau(L, xs, zs, ph)
+            before = t.generators
+            circuit = []
+            for _ in range(300):
+                name = gen.choice(names)
+                qubits = tuple(gen.sample(range(L), 2 if name in ("CNOT", "CZ") else 1))
+                circuit.append((name, qubits))
+            ox, oz, op = list(xs), list(zs), list(ph)
+            for name, qubits in circuit:
+                conjugate_rows(ox, oz, op, name, qubits)
+            out = t.apply_circuit(circuit)
+            assert [(g.x, g.z, g.phase_exp) for g in out.generators] == list(zip(ox, oz, op))
+            assert t.generators == before  # the input tableau is untouched
+            name, qubits = circuit[0]
+            ox, oz, op = list(xs), list(zs), list(ph)
+            conjugate_rows(ox, oz, op, name, qubits)
+            one = t.apply_clifford(name, *qubits)
+            assert [(g.x, g.z, g.phase_exp) for g in one.generators] == list(zip(ox, oz, op))
 
 
 class TestGHZGroup:
@@ -275,6 +367,38 @@ class TestMLGS:
             )
             for n, scale, v in lat.sites():
                 assert counts.get((n, scale), 0) == round(v)
+
+    def test_restrictions_reduce_only_the_interval(self, monkeypatch):
+        # a deterministic complexity guard: every reduction the MLGS makes sees
+        # at most b - a + 1 rows and exactly the interval's 2 (b - a + 1) columns
+        t = random_clifford_circuit(64, 8, 64).apply_to_tableau(StabilizerTableau.zero_state(64))
+        restrict, reduce = StabilizerTableau.restrict_subgroup, _kernels.reduce_pauli_rows
+        current, calls = [], []
+
+        def traced_restrict(self, interval):
+            current.append(interval)
+            try:
+                return restrict(self, interval)
+            finally:
+                current.pop()
+
+        def traced_reduce(xs, zs, ph, cols):
+            calls.append((current[-1], len(xs), len(cols)))
+            return reduce(xs, zs, ph, cols)
+
+        monkeypatch.setattr(StabilizerTableau, "restrict_subgroup", traced_restrict)
+        monkeypatch.setattr(_kernels, "reduce_pauli_rows", traced_reduce)
+        assert len(t.maximally_local_generating_set()) == 64
+        assert calls
+        for interval, rows, cols in calls:
+            assert rows <= interval.num_sites and cols == 2 * interval.num_sites
+
+    def test_thousand_sites(self):
+        t = random_clifford_circuit(1000, 4, 1000).apply_to_tableau(
+            StabilizerTableau.zero_state(1000)
+        )
+        assert t.integer_info_lattice().total() == 1000
+        assert len(t.maximally_local_generating_set()) == 1000
 
     def test_entries_are_group_members_and_independent(self):
         t = random_clifford_circuit(8, 11, 5).apply_to_tableau(
