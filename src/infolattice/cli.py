@@ -227,7 +227,7 @@ def _analysis(args, state: PureState):
     summary = summarize(lat, args.gap_threshold)
     if args.fold:
         summary = summary.with_folded(
-            gamma_folded(state, args.gap_threshold, threads=args.threads)
+            gamma_folded(state, threads=args.threads)
         )
     verdict = witness_long_range(summary, args.tol, require_origin=args.fold)
     return lat, summary, verdict

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -248,9 +249,10 @@ def symmetric_ground_state(
 ) -> tuple[PureState, float]:
     """Lowest eigenvector of H in the charge-0 sector, with its energy.
 
-    Diagonalizes the sector-projected Hamiltonian (dense below ~1000 states,
-    Lanczos above), lifts back to the full space, fixes the global phase, and
-    verifies the eigen-residual and the sector membership.
+    Takes the lowest eigenpair of the sector-projected Hamiltonian (dense
+    below ~1000 states, Lanczos above), lifts back to the full space, fixes
+    the global phase, and verifies the eigen-residual and the sector
+    membership.
     """
     n = spec.qutrits
     h = potts_hamiltonian(spec)
@@ -260,7 +262,7 @@ def symmetric_ground_state(
         dense = h_sym.toarray()
         if np.max(np.abs(dense - dense.conj().T)) > 1e-12:
             raise NumericalError("projected Hamiltonian lost hermiticity")
-        energies, vectors = np.linalg.eigh(dense)
+        energies, vectors = sla.eigh(dense, subset_by_index=[0, 0])
     else:
         energies, vectors = spla.eigsh(h_sym.tocsc(), k=1, which="SA", tol=0)
     energy = float(energies[0])

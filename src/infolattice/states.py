@@ -280,10 +280,6 @@ def apply_pauli(amps: np.ndarray, num_sites: int, p: PauliString) -> np.ndarray:
     return signed[idx ^ np.uint64(xm)]
 
 
-def pauli_expectation(state: PureState, p: PauliString) -> complex:
-    return complex(np.vdot(state.amps, apply_pauli(state.amps, state.num_sites, p)))
-
-
 def haar_random_state(dims: Sequence[int], rng: np.random.Generator) -> PureState:
     """Haar-random pure state from a normalized complex Gaussian vector."""
     n = math.prod(dims)
@@ -305,11 +301,20 @@ def save_amplitudes(state: PureState, path: str) -> None:
 
 
 def load_amplitudes(path: str) -> PureState:
+    """Read the format of :func:`amplitudes_text`; malformed input raises
+    ValueError naming the file and, where one is to blame, the line."""
     with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
+        first = fh.readline()
+        header = first.split()
         if not header or header[0] != "dims":
             raise ValueError(f"{path}: missing 'dims' header")
-        dims = [int(tok) for tok in header[1:]]
+        try:
+            dims = [int(tok) for tok in header[1:]]
+        except ValueError:
+            dims = []
+        if not dims or min(dims) < 2:
+            msg = f"{path}:1: expected 'dims d1 d2 ...' (each d >= 2), got {first.strip()!r}"
+            raise ValueError(msg)
         amps = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -320,4 +325,8 @@ def load_amplitudes(path: str) -> PureState:
             except ValueError:
                 msg = f"{path}:{lineno}: expected 're im', got {line.strip()!r}"
                 raise ValueError(msg) from None
+    expected = math.prod(dims)
+    if len(amps) != expected:
+        msg = f"{path}: expected {expected} 're im' rows for {first.strip()!r}, got {len(amps)}"
+        raise ValueError(msg)
     return PureState(np.array(amps), dims)

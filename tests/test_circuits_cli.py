@@ -316,6 +316,17 @@ class TestCLI:
         assert captured.out == "" and captured.err.startswith(f"error: {path}:3: ")
 
     @pytest.mark.parametrize(
+        "text,where",
+        [("dims 2 x\n1.0 0.0\n0.0 0.0\n", ":1: "), ("dims 2 2\n1.0 0.0\n0.0 0.0\n", ": ")],
+    )
+    def test_malformed_amplitude_file_rejected(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert self.run("lattice", "--amplitudes", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}{where}")
+
+    @pytest.mark.parametrize(
         "target,exc,argv",
         [
             (

@@ -20,6 +20,7 @@ from infolattice import (
     interleave,
     summarize,
 )
+from infolattice.errors import NumericalError
 from infolattice.lattice import CLAMP_EPS, lattice_from_interval_info
 from infolattice.models import cat_state, edge_bell_state, reference_state
 from infolattice.states import haar_random_state
@@ -281,3 +282,58 @@ def test_second_differences_match_double_loop():
         for got, want in zip(lat.rows, second_differences_by_loop((1.0,) * L, info), strict=True):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))  # sign of zero too
+
+
+def max_integer_deviation_by_loop(lat):
+    """Loop oracle for ``InfoLattice.max_integer_deviation``: the first
+    maximum in (scale, left) order, ``None`` when every site is an integer."""
+    best = 0.0
+    where = None
+    for n, scale, v in lat.sites():
+        dev = abs(v - round(v))
+        if dev > best:
+            best = dev
+            where = (n, scale)
+    return best, where
+
+
+def random_lattice(rng, L, integer=False):
+    rows = [rng.integers(-3, 4, size=L - l).astype(float) for l in range(L)]
+    if not integer:
+        # few distinct offsets, so the maximum deviation is often tied
+        offsets = np.array([0.0, 0.25, -0.25, 0.5, -0.5, 1e-13, 0.125])
+        rows = [row + rng.choice(offsets, size=row.size) for row in rows]
+    return InfoLattice((1.0,) * L, tuple(rows))
+
+
+def test_max_integer_deviation_matches_loop():
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        L = int(rng.integers(0, 25))
+        lat = random_lattice(rng, L, integer=trial % 4 == 0)
+        got = lat.max_integer_deviation()
+        assert got == max_integer_deviation_by_loop(lat)
+        if trial % 4 == 0:
+            assert got == (0.0, None)
+
+
+def test_max_integer_deviation_planted_ties():
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        L = int(rng.integers(2, 20))
+        lat = random_lattice(rng, L, integer=True)
+        sites = [(scale, left) for scale in range(L) for left in range(L - scale)]
+        picks = rng.choice(len(sites), size=min(3, len(sites)), replace=False)
+        for k in picks:  # equal deviations of both signs at up to three sites
+            scale, left = sites[int(k)]
+            lat.rows[scale][left] += 0.375 if k % 2 else -0.375
+        first = sites[int(min(picks))]
+        assert lat.max_integer_deviation() == (0.375, (first[1] + first[0] / 2, first[0]))
+        assert lat.max_integer_deviation() == max_integer_deviation_by_loop(lat)
+
+
+def test_max_integer_deviation_rejects_non_finite_sites():
+    for bad in (np.nan, np.inf):
+        lat = InfoLattice((1.0, 1.0), (np.array([1.0, bad]), np.array([0.0])))
+        with pytest.raises(NumericalError):
+            lat.max_integer_deviation()

@@ -162,6 +162,19 @@ class TestSymmetricSector:
             q = charge_operator(4)
             assert np.linalg.norm(q @ gs.amps - gs.amps) < 1e-9
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_lowest_eigenpair_matches_full_eigh(self, n):
+        # the default potts-sweep field grid, h = 0 included
+        p = symmetric_sector_isometry(n)
+        for field in np.linspace(0.0, 0.8, 17):
+            spec = PottsSpec(n, 1.0, round(float(field), 10))
+            gs, energy = symmetric_ground_state(spec)
+            h_sym = p.conj().T @ potts_hamiltonian(spec) @ p
+            energies, vectors = np.linalg.eigh(h_sym.toarray())
+            v_full = p @ vectors[:, 0]
+            assert abs(energy - energies[0]) <= 1e-12
+            assert abs(abs(np.vdot(v_full, gs.amps)) - 1.0) <= 1e-12
+
 
 class TestEmbedding:
     def test_basis_images(self):

@@ -3,12 +3,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from infolattice import _kernels, compute_lattice
+from infolattice import _kernels, compute_lattice, fold, gamma_folded, interleave, summarize
 from infolattice.lattice import lattice_from_interval_info
 from infolattice.pauli import PauliString, SupportInterval
-from infolattice.states import haar_random_state
+from infolattice.states import PureState, haar_random_state
 from infolattice.tableau import (
     StabilizerTableau,
     random_clifford_circuit,
@@ -35,13 +36,13 @@ def brickwork_tableau(length, layers, seed):
 
 
 @st.composite
-def states(draw):
+def states(draw, min_sites=1, max_sites=8):
     """Haar states on mixed qubit/qutrit chains, or densified Clifford states."""
     seed = draw(seeds)
     if draw(st.booleans()):
-        dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=8))
+        dims = draw(st.lists(st.sampled_from([2, 3]), min_size=min_sites, max_size=max_sites))
         return haar_random_state(dims, np.random.default_rng(seed))
-    length = draw(st.integers(2, 8))
+    length = draw(st.integers(max(2, min_sites), max_sites))
     return statevector_from_tableau(brickwork_tableau(length, draw(st.integers(0, 8)), seed))
 
 
@@ -65,6 +66,47 @@ def test_tableau_and_dense_lattices_agree(length, layers, seed):
     t = brickwork_tableau(length, layers, seed)
     exact = t.integer_info_lattice()
     assert compute_lattice(statevector_from_tableau(t)).allclose(exact, atol=1e-9)
+
+
+FOLDS = {"site": interleave, "pair": fold}
+
+
+def assert_telescoped_gamma_folded(state):
+    for granularity, change in FOLDS.items():
+        full = summarize(compute_lattice(change(state))).gamma
+        assert abs(gamma_folded(state, granularity=granularity) - full) <= 1e-12
+
+
+@PROPERTY
+@given(states(min_sites=2, max_sites=9))
+def test_gamma_folded_matches_full_folded_lattice(state):
+    assert_telescoped_gamma_folded(state)
+
+
+@pytest.mark.parametrize("length", range(2, 10))
+def test_gamma_folded_matches_full_folded_lattice_every_length(length):
+    rng = np.random.default_rng(length)
+    assert_telescoped_gamma_folded(haar_random_state(rng.choice([2, 3], size=length), rng))
+    t = brickwork_tableau(length, length, 100 + length)
+    assert_telescoped_gamma_folded(statevector_from_tableau(t))
+
+
+@pytest.mark.parametrize("length", range(2, 10))
+def test_gamma_folded_takes_at_most_length_plus_two_entropies(monkeypatch, length):
+    calls = []
+    entropy = PureState.entropy_of_interval
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return entropy(self, *args, **kwargs)
+
+    monkeypatch.setattr(PureState, "entropy_of_interval", counted)
+    state = haar_random_state((2,) * length, np.random.default_rng(length))
+    gamma_folded(state)
+    assert 0 < len(calls) <= length + 2
+    calls.clear()
+    gamma_folded(state, granularity="pair")
+    assert len(calls) <= length + 2
 
 
 def restrict_by_full_reduction(length, rows, a, b):

@@ -222,3 +222,19 @@ class TestMirrorAndIO:
         path.write_text(f"dims 2\n1.0 0.0\n\n{row}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: ")):
             load_amplitudes(str(path))
+
+    @pytest.mark.parametrize("header", ["dims 2 x", "dims", "dims 2 1", "dims 2.0"])
+    def test_load_rejects_bad_dims_header(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n1.0 0.0\n0.0 0.0\n")
+        message = re.escape(f"{path}:1: ") + ".*" + re.escape(repr(header))
+        with pytest.raises(ValueError, match=message):
+            load_amplitudes(str(path))
+
+    @pytest.mark.parametrize("rows", [1, 3, 5])
+    def test_load_rejects_wrong_amplitude_count(self, tmp_path, rows):
+        path = tmp_path / "bad.txt"
+        path.write_text("dims 2 2\n1.0 0.0\n" + "0.0 0.0\n" * (rows - 1))
+        message = re.escape(f"{path}: expected 4 ") + f".*got {rows}$"
+        with pytest.raises(ValueError, match=message):
+            load_amplitudes(str(path))
