@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: lattice, summarize, fold, witness, mlgs, potts-sweep,
-circuit-run.  Exactly one state source per invocation (named reference,
-circuit file, amplitude file, or Potts spec); all randomness flows from the
-given seed, so outputs are byte-identical across runs.  Exit codes: 0 on
-success, 2 on configuration errors, 3 on numerical failures.
+circuit-run; each parses only the flags it reads.  Exactly one state source
+per invocation (named reference, circuit file, amplitude file, or Potts
+spec); all randomness flows from the given seed, so outputs are
+byte-identical across runs.  Exit codes: 0 on success, 2 on configuration
+errors, 3 on numerical failures (running out of memory included).
 """
 
 from __future__ import annotations
@@ -27,15 +28,11 @@ from .errors import (
     NumericalError,
     TableauConsistencyError,
 )
-from .lattice import (
-    DEFAULT_GAP_THRESHOLD,
-    InfoLattice,
-    LatticeSummary,
-    compute_lattice,
-    fold,
-    gamma_folded,
-    summarize,
-)
+from .lattice import DEFAULT_GAP_THRESHOLD, InfoLattice, LatticeSummary, analyze, fold
+
+# unused here, but perfbench/selftest.py checks that its tracer rebinds this
+# name-imported function in the cli module too
+from .lattice import compute_lattice  # noqa: F401
 from .states import PureState, amplitudes_text, load_amplitudes
 from .tableau import StabilizerTableau, random_clifford_circuit, statevector_from_tableau
 from .witness import DEFAULT_TOL, GROUND_STATE_TOL, LatticeVerdict, witness_long_range
@@ -89,28 +86,10 @@ def lattice_dump(
     verdict: LatticeVerdict,
     dims: tuple[int, ...],
 ) -> dict:
-    return {
-        "L": lat.num_sites,
-        "dims": list(dims),
-        "lattice": lat.to_records(),
-        "info_per_scale": list(summary.info_per_scale),
-        "omega": summary.omega,
-        "gamma": summary.gamma,
-        "gamma_from_gap": summary.gamma_from_gap,
-        "gamma_folded": summary.gamma_folded,
-        "gamma_edge_estimate": summary.gamma_edge_estimate,
-        "gap": None
-        if summary.gap is None
-        else {
-            "start": summary.gap.start,
-            "end": summary.gap.end,
-            "max_inside": summary.gap.max_inside,
-        },
-        "localized": summary.localized,
-        "gap_threshold": summary.gap_threshold,
-        "total_information": summary.total_information,
-        "verdict": verdict.to_dict(),
-    }
+    payload = summary_dict(summary)
+    del payload["max_noninteger_deviation"]  # the verdict carries it
+    payload.update(dims=list(dims), lattice=lat.to_records(), verdict=verdict.to_dict())
+    return payload
 
 
 def _emit_amplitudes(state: PureState, args: argparse.Namespace) -> None:
@@ -158,26 +137,30 @@ def _parse_potts_arg(text: str) -> dict:
     return spec
 
 
-def load_state(args: argparse.Namespace) -> tuple[PureState, Optional[StabilizerTableau]]:
-    """Resolve the configured state source to a dense state (and tableau if
-    the source was Clifford)."""
+def _reference(args: argparse.Namespace, build):
+    """``build(name, length)`` for a named reference given by --state and --L."""
+    if args.length is None:
+        raise ConfigurationError("--state needs --L")
+    return build(args.state, args.length)
+
+
+def load_state(args: argparse.Namespace) -> PureState:
+    """Resolve the configured state source to a dense state."""
     sources = [
         args.state is not None,
         args.circuit is not None,
         args.amplitudes is not None,
-        getattr(args, "potts", None) is not None,
+        args.potts is not None,
     ]
     if sum(sources) != 1:
         raise ConfigurationError(
             "exactly one state source required (--state, --circuit, --amplitudes, --potts)"
         )
     if args.state is not None:
-        if args.length is None:
-            raise ConfigurationError("--state needs --L")
-        return models.reference_state(args.state, args.length), None
+        return _reference(args, models.reference_state)
     if args.amplitudes is not None:
-        return load_amplitudes(args.amplitudes), None
-    if getattr(args, "potts", None) is not None:
+        return load_amplitudes(args.amplitudes)
+    if args.potts is not None:
         spec = _parse_potts_arg(args.potts)
         try:
             n = int(spec["N"])
@@ -186,13 +169,13 @@ def load_state(args: argparse.Namespace) -> tuple[PureState, Optional[Stabilizer
         except (KeyError, ValueError) as exc:
             raise ConfigurationError(f"bad potts spec: {exc}") from None
         gs, _ = models.symmetric_ground_state(models.PottsSpec(n, j, h))
-        return models.embed_qutrit_to_spins(gs), None
+        return models.embed_qutrit_to_spins(gs)
 
     kind, payload = circuits.load_circuit_file(args.circuit, args.seed)
     t = _source_tableau(kind, payload, args.length)
     if t is not None:
-        return statevector_from_tableau(t), t
-    return _dense_source_state(kind, payload, args.length), None
+        return statevector_from_tableau(t)
+    return _dense_source_state(kind, payload, args.length)
 
 
 def _source_tableau(
@@ -222,22 +205,20 @@ def _dense_source_state(kind: str, payload, length: Optional[int]) -> PureState:
 # subcommands
 
 
-def _analysis(args, state: PureState):
-    lat = compute_lattice(state, threads=args.threads)
-    summary = summarize(lat, args.gap_threshold)
-    if args.fold:
-        summary = summary.with_folded(
-            gamma_folded(state, threads=args.threads)
-        )
-    verdict = witness_long_range(summary, args.tol, require_origin=args.fold)
-    return lat, summary, verdict
+def _tol(args: argparse.Namespace) -> float:
+    """--tol; iteratively converged ground states get the looser default."""
+    if args.tol is not None:
+        return args.tol
+    return GROUND_STATE_TOL if args.potts is not None else DEFAULT_TOL
 
 
 def cmd_lattice(args) -> int:
-    state, _ = load_state(args)
-    lat, summary, verdict = _analysis(args, state)
+    state = load_state(args)
+    lat, summary = analyze(state, args.gap_threshold, with_fold=args.fold, threads=args.threads)
+    tol = _tol(args)
+    verdict = witness_long_range(summary, tol, require_origin=args.fold)
     if args.format == "pretty":
-        text = pretty_lattice(lat, args.tol)
+        text = pretty_lattice(lat, tol)
         text += verdict.one_line() + "\n"
     else:
         text = _json_text(lattice_dump(lat, summary, verdict, state.dims))
@@ -246,22 +227,22 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    state, _ = load_state(args)
-    _, summary, _ = _analysis(args, state)
+    state = load_state(args)
+    _, summary = analyze(state, args.gap_threshold, with_fold=args.fold, threads=args.threads)
     _emit(_json_text(summary_dict(summary)), args.out)
     return 0
 
 
 def cmd_fold(args) -> int:
-    state, _ = load_state(args)
-    _emit_amplitudes(fold(state), args)
+    _emit_amplitudes(fold(load_state(args)), args)
     return 0
 
 
 def cmd_witness(args) -> int:
-    state, _ = load_state(args)
-    args.fold = True  # origin classification always wants the folded total
-    _, summary, verdict = _analysis(args, state)
+    state = load_state(args)
+    # origin classification always wants the folded total
+    _, summary = analyze(state, args.gap_threshold, with_fold=True, threads=args.threads)
+    verdict = witness_long_range(summary, _tol(args))
     if args.format == "json":
         _emit(_json_text(verdict.to_dict()), args.out)
     else:
@@ -278,9 +259,7 @@ def cmd_mlgs(args) -> int:
                 "mlgs needs a stabilizer state; the circuit source is not Clifford"
             )
     elif args.state is not None:
-        if args.length is None:
-            raise ConfigurationError("--state needs --L")
-        t = _reference_tableau(args.state, args.length)
+        t = _reference(args, models.reference_tableau)
     else:
         raise ConfigurationError("mlgs needs --circuit or --state")
     entries = t.maximally_local_generating_set()
@@ -303,34 +282,6 @@ def cmd_mlgs(args) -> int:
     return 0
 
 
-def _reference_tableau(name: str, length: int) -> StabilizerTableau:
-    from .pauli import PauliString
-
-    name = name.lower()
-    if name == "neel":
-        gens = [
-            PauliString.single(length, j, "Z", phase_exp=2 * (j % 2))
-            for j in range(length)
-        ]
-        return StabilizerTableau.from_generators(gens)
-    if name == "ghz":
-        t = StabilizerTableau.zero_state(length).apply_clifford("H", 0)
-        for c in range(length - 1):
-            t = t.apply_clifford("CNOT", c, c + 1)
-        return t
-    if name == "bell":
-        if length != 4:
-            raise ConfigurationError("the bell reference state is defined for L = 4")
-        gens = [
-            PauliString.from_label("ZIII"),
-            PauliString.from_label("IXXI"),
-            PauliString.from_label("-IZZI"),
-            PauliString.from_label("-IIIZ"),
-        ]
-        return StabilizerTableau.from_generators(gens)
-    raise ConfigurationError(f"no stabilizer reference named {name!r}")
-
-
 def _parse_h_grid(text: str) -> list[float]:
     if ":" in text:
         parts = text.split(":")
@@ -349,28 +300,27 @@ def cmd_potts_sweep(args) -> int:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"bad sweep config: {exc}") from None
-    sizes = (
-        [int(tok) for tok in args.sizes.split(",")]
-        if args.sizes
-        else cfg.get("sizes", [8, 10, 12])
+
+    def setting(flag, key, default):
+        """A flag that was given beats the config file, which beats the default."""
+        return flag if flag is not None else cfg.get(key, default)
+
+    sizes = setting(
+        None if args.sizes is None else [int(tok) for tok in args.sizes.split(",")],
+        "sizes",
+        [8, 10, 12],
     )
-    if args.h is not None:
-        fields = _parse_h_grid(args.h)
-    elif "h" in cfg:
-        fields = [float(x) for x in cfg["h"]]
-    elif "h_grid" in cfg:
-        fields = _parse_h_grid(cfg["h_grid"])
-    else:
-        fields = _parse_h_grid("0:0.8:17")
-    coupling = args.coupling if args.coupling is not None else float(cfg.get("J", 1.0))
-    gap_threshold = (
-        args.gap_threshold
-        if args.gap_threshold != DEFAULT_GAP_THRESHOLD
-        else float(cfg.get("gap_threshold", DEFAULT_GAP_THRESHOLD))
-    )
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", GROUND_STATE_TOL))
-    granularity = args.granularity or cfg.get("granularity", "qubit")
-    out = args.out or cfg.get("out")
+    fields = setting(None if args.h is None else _parse_h_grid(args.h), "h", None)
+    if fields is None:
+        fields = _parse_h_grid(cfg.get("h_grid", "0:0.8:17"))
+    fields = [float(h) for h in fields]
+    if not sizes or not fields:
+        raise ConfigurationError("empty sweep: no sizes or no field values")
+    coupling = float(setting(args.coupling, "J", 1.0))
+    gap_threshold = float(setting(args.gap_threshold, "gap_threshold", DEFAULT_GAP_THRESHOLD))
+    tol = float(setting(args.tol, "tol", GROUND_STATE_TOL))
+    granularity = setting(args.granularity, "granularity", "qubit")
+    out = setting(args.out, "out", None)
 
     rows = models.potts_sweep(sizes, fields, coupling, gap_threshold, tol, granularity)
     failures = sum(1 for r in rows if r.error is not None)
@@ -407,34 +357,49 @@ def cmd_circuit_run(args) -> int:
 # parser
 
 
-def _add_source_args(p: argparse.ArgumentParser, include_potts: bool = True) -> None:
-    p.add_argument("--state", help="named reference state (neel, bell, ghz)")
-    p.add_argument("--L", dest="length", type=int, help="chain length for --state")
+def _add_source_args(
+    p: argparse.ArgumentParser, *, reference: bool = True, dense: bool = True
+) -> None:
+    """Circuit files, plus named references and the sources that have no
+    tableau (amplitude files, Potts ground states) where asked."""
     p.add_argument("--circuit", help="circuit file (gates, generators, or JSON spec)")
-    p.add_argument("--amplitudes", help="amplitude file (text format)")
-    if include_potts:
+    p.add_argument("--L", dest="length", type=int, help="chain length (named references, gate files)")
+    p.add_argument("--seed", type=int, help="seed for randomized circuit sources")
+    if reference:
+        p.add_argument("--state", help="named reference state (neel, bell, ghz)")
+    if dense:
+        p.add_argument("--amplitudes", help="amplitude file (text format)")
         p.add_argument(
             "--potts",
             help="inline Potts spec, e.g. N=6,h=0.25,J=1 (symmetric GS, embedded)",
         )
-    p.add_argument("--seed", type=int, help="seed for randomized circuit sources")
 
 
-def _add_common_args(
+def _add_output_args(
     p: argparse.ArgumentParser,
-    fmt_choices: tuple[str, ...] = ("json", "pretty"),
-    fmt_default: str = "json",
+    formats: tuple[str, ...] = (),
+    default: Optional[str] = None,
+    json_help: Optional[str] = None,
 ) -> None:
-    p.add_argument("--format", choices=fmt_choices, default=fmt_default)
-    p.add_argument("--tol", type=float, default=None, help="integerness tolerance")
-    p.add_argument(
-        "--gap-threshold",
-        dest="gap_threshold",
-        type=float,
-        default=DEFAULT_GAP_THRESHOLD,
-    )
-    p.add_argument("--fold", action="store_true", help="also compute gamma_folded")
+    if formats:
+        p.add_argument("--format", choices=formats, default=default)
+    if json_help is not None:
+        p.add_argument(
+            "--json", dest="format", action="store_const", const="json", help=json_help
+        )
     p.add_argument("--out", help="write output to this file instead of stdout")
+
+
+def _add_analysis_args(
+    p: argparse.ArgumentParser, *, tol: bool = False, fold: bool = False
+) -> None:
+    if tol:
+        p.add_argument("--tol", type=float, default=None, help="integerness tolerance")
+    p.add_argument(
+        "--gap-threshold", dest="gap_threshold", type=float, default=DEFAULT_GAP_THRESHOLD
+    )
+    if fold:
+        p.add_argument("--fold", action="store_true", help="also compute gamma_folded")
     p.add_argument("--threads", type=int, default=None, help="lattice worker threads")
 
 
@@ -447,55 +412,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="full lattice dump with verdict")
     _add_source_args(p)
-    _add_common_args(p)
+    _add_output_args(p, ("json", "pretty"), "json")
+    _add_analysis_args(p, tol=True, fold=True)
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("summarize", help="per-scale summary only")
+    p = sub.add_parser("summarize", help="per-scale summary only (JSON)")
     _add_source_args(p)
-    _add_common_args(p)
+    _add_output_args(p)
+    _add_analysis_args(p, fold=True)
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("fold", help="emit the folded state")
     _add_source_args(p)
-    _add_common_args(p, fmt_choices=("text", "json"), fmt_default="text")
+    _add_output_args(p, ("text", "json"), "text")
     p.set_defaults(func=cmd_fold)
 
     p = sub.add_parser("witness", help="one-line or JSON verdict")
     _add_source_args(p)
-    _add_common_args(p)
-    p.set_defaults(func=cmd_witness, format="pretty")
-    p.add_argument(
-        "--json", dest="format", action="store_const", const="json",
-        help="emit the verdict as JSON",
-    )
+    _add_output_args(p, ("json", "pretty"), "pretty", json_help="emit the verdict as JSON")
+    _add_analysis_args(p, tol=True)
+    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("mlgs", help="maximally local generating set")
-    _add_source_args(p, include_potts=False)
-    _add_common_args(p)
-    p.set_defaults(func=cmd_mlgs, format="pretty")
-    p.add_argument(
-        "--json", dest="format", action="store_const", const="json",
-        help="emit the generator list as JSON",
+    _add_source_args(p, dense=False)
+    _add_output_args(
+        p, ("json", "pretty"), "pretty", json_help="emit the generator list as JSON"
     )
+    p.set_defaults(func=cmd_mlgs)
 
     p = sub.add_parser("potts-sweep", help="field sweep of the Potts ground state")
     p.add_argument("--config", help="JSON sweep config file")
     p.add_argument("--sizes", help="comma-separated qubit chain lengths (L = 2N)")
     p.add_argument("--h", help="field grid: start:stop:count or comma list")
     p.add_argument("--J", dest="coupling", type=float, default=None)
-    p.add_argument(
-        "--gap-threshold", dest="gap_threshold", type=float, default=DEFAULT_GAP_THRESHOLD
-    )
+    p.add_argument("--gap-threshold", dest="gap_threshold", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--granularity", choices=("qubit", "qutrit"), default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int, help="accepted for config uniformity (unused)")
+    _add_output_args(p, ("csv", "json"), "csv")
     p.set_defaults(func=cmd_potts_sweep)
 
     p = sub.add_parser("circuit-run", help="run a circuit file; dump tableau or state")
-    _add_source_args(p, include_potts=False)
-    _add_common_args(p, fmt_choices=("text", "json"), fmt_default="text")
+    _add_source_args(p, reference=False, dense=False)
+    _add_output_args(p, ("text", "json"), "text")
     p.set_defaults(func=cmd_circuit_run)
 
     return parser
@@ -504,9 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "potts-sweep" and getattr(args, "tol", 0) is None:
-        # iteratively-converged ground states get the looser default
-        args.tol = GROUND_STATE_TOL if getattr(args, "potts", None) is not None else DEFAULT_TOL
     try:
         return args.func(args)
     except (
@@ -516,6 +471,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         NumericalError,
         TableauConsistencyError,
         MemoryCapError,
+        MemoryError,
     ) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return NUMERICAL_EXIT

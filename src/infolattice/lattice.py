@@ -354,10 +354,14 @@ def analyze(
     max_rdm_side: int = DEFAULT_MAX_RDM_SIDE,
     threads: Optional[int] = None,
 ) -> tuple[InfoLattice, LatticeSummary]:
-    """Lattice plus summary, optionally with the folded large-scale total."""
+    """Lattice plus summary, optionally with the folded large-scale total.
+
+    The fold needs at least two sites; ``with_fold`` on a one-site state
+    raises ValueError from :func:`gamma_folded`.
+    """
     lat = compute_lattice(state, max_rdm_side=max_rdm_side, threads=threads)
     summary = summarize(lat, gap_threshold)
-    if with_fold and state.num_sites >= 2:
+    if with_fold:
         summary = summary.with_folded(
             gamma_folded(state, max_rdm_side=max_rdm_side, threads=threads)
         )

@@ -29,8 +29,9 @@ from .lattice import (
     DEFAULT_GAP_THRESHOLD,
     analyze,
 )
+from .pauli import PauliString
 from .states import PureState
-from .tableau import brickwork_bonds
+from .tableau import StabilizerTableau, brickwork_bonds
 from .witness import GROUND_STATE_TOL, LatticeVerdict, witness_long_range
 
 OMEGA = np.exp(2j * np.pi / 3)
@@ -54,26 +55,52 @@ TRIPLET_ISOMETRY = np.array(
 # reference states
 
 
+def _reference_name(name: str, length: int) -> str:
+    """Lower-cased name of a named reference, checked against its lengths."""
+    name = name.lower()
+    if name == "neel" and length < 1:
+        raise ConfigurationError("neel needs L >= 1")
+    if name == "bell" and length != 4:
+        raise ConfigurationError("the bell reference state is defined for L = 4")
+    if name == "ghz" and length < 2:
+        raise ConfigurationError("ghz needs L >= 2")
+    if name not in ("neel", "bell", "ghz"):
+        raise ConfigurationError(f"unknown reference state {name!r}")
+    return name
+
+
 def reference_state(name: str, length: int) -> PureState:
     """Named qubit reference states: ``neel``, ``bell`` (L=4 only), ``ghz``."""
-    name = name.lower()
+    name = _reference_name(name, length)
     if name == "neel":
-        if length < 1:
-            raise ConfigurationError("neel needs L >= 1")
         return PureState.from_label("".join(str(j % 2) for j in range(length)))
     if name == "bell":
-        if length != 4:
-            raise ConfigurationError("the bell reference state is defined for L = 4")
         amps = np.zeros(16, dtype=complex)
         amps[0b0101] = amps[0b0011] = 1.0 / np.sqrt(2.0)
         return PureState(amps, (2, 2, 2, 2))
-    if name == "ghz":
-        if length < 2:
-            raise ConfigurationError("ghz needs L >= 2")
-        amps = np.zeros(2**length, dtype=complex)
-        amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-        return PureState(amps, (2,) * length)
-    raise ConfigurationError(f"unknown reference state {name!r}")
+    amps = np.zeros(2**length, dtype=complex)
+    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
+    return PureState(amps, (2,) * length)
+
+
+def reference_tableau(name: str, length: int) -> StabilizerTableau:
+    """The stabilizer tableau of :func:`reference_state` (same names and lengths).
+
+    Its statevector agrees with ``reference_state`` only to rounding (about
+    1e-16), so each engine keeps its own construction.
+    """
+    name = _reference_name(name, length)
+    if name == "neel":
+        return StabilizerTableau.from_generators(
+            [PauliString.single(length, j, "Z", phase_exp=2 * (j % 2)) for j in range(length)]
+        )
+    if name == "bell":
+        labels = ("ZIII", "IXXI", "-IZZI", "-IIIZ")
+        return StabilizerTableau.from_generators([PauliString.from_label(s) for s in labels])
+    t = StabilizerTableau.zero_state(length).apply_clifford("H", 0)
+    for c in range(length - 1):
+        t = t.apply_clifford("CNOT", c, c + 1)
+    return t
 
 
 def cat_state(branches: int, length: int, local_dim: Optional[int] = None) -> PureState:
@@ -313,16 +340,8 @@ class SweepPoint:
     error: Optional[str] = None
 
     def to_csv_row(self) -> list:
-        return [
-            self.length,
-            self.field,
-            self.gamma,
-            self.gamma_folded,
-            self.omega,
-            self.localized,
-            self.long_range_witnessed,
-            self.error,
-        ]
+        row = self.to_dict()
+        return [row[c] for c in SWEEP_CSV_COLUMNS]
 
     def to_dict(self) -> dict:
         return {

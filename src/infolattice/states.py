@@ -301,8 +301,9 @@ def save_amplitudes(state: PureState, path: str) -> None:
 
 
 def load_amplitudes(path: str) -> PureState:
-    """Read the format of :func:`amplitudes_text`; malformed input raises
-    ValueError naming the file and, where one is to blame, the line."""
+    """Read the format of :func:`amplitudes_text`; malformed, non-finite or
+    unnormalized input raises ValueError naming the file and, where one is
+    to blame, the line."""
     with open(path, encoding="ascii") as fh:
         first = fh.readline()
         header = first.split()
@@ -329,4 +330,7 @@ def load_amplitudes(path: str) -> PureState:
     if len(amps) != expected:
         msg = f"{path}: expected {expected} 're im' rows for {first.strip()!r}, got {len(amps)}"
         raise ValueError(msg)
-    return PureState(np.array(amps), dims)
+    try:
+        return PureState(np.array(amps), dims)
+    except ValueError as exc:  # an unnormalized or non-finite file
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,6 +1,7 @@
 """Circuit files, generator files, and the command-line interface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,41 @@ class TestCLI:
         text = capsys.readouterr().out
         assert text.count("l=0") == 4 and "ZIII" in text
 
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("neel", [("ZIII", 0, 0), ("-IZII", 1, 0), ("IIZI", 2, 0), ("-IIIZ", 3, 0)]),
+            ("ghz", [("ZZII", 0.5, 1), ("IZZI", 1.5, 1), ("IIZZ", 2.5, 1), ("XXXX", 1.5, 3)]),
+            ("bell", [("ZIII", 0, 0), ("-IIIZ", 3, 0), ("IXXI", 1.5, 1), ("-IZZI", 1.5, 1)]),
+        ],
+    )
+    def test_mlgs_named_reference(self, tmp_path, capsys, name, expected):
+        argv = ["mlgs", "--state", name, "--L", "4"]
+        assert self.run(*argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        parsed = [re.fullmatch(r"(\S+) +@ \(n=(\S+), l=(\d+)\)", line).groups() for line in lines]
+        assert [(g, float(n), int(l)) for g, n, l in parsed] == expected
+        out = tmp_path / "m.json"
+        assert self.run(*argv, "--json", "--out", str(out)) == 0
+        payload = json.loads(out.read_text())
+        validate(payload, "mlgs_dump")
+        assert payload["L"] == 4
+        assert [(g["label"], g["n"], g["l"]) for g in payload["generators"]] == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mlgs", "--state", "ghz", "--L", "1"],
+            ["lattice", "--state", "ghz", "--L", "1"],
+            ["witness", "--state", "neel", "--L", "1"],
+            ["lattice", "--state", "neel", "--L", "1", "--fold"],
+        ],
+    )
+    def test_too_short_source_exits_config(self, capsys, argv):
+        assert self.run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_mlgs_rejects_t(self, tmp_path, capsys):
         path = tmp_path / "bad.qc"
         path.write_text("H 0\nT 0\n")
@@ -287,6 +323,40 @@ class TestCLI:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_potts_sweep_explicit_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sizes": [8], "h": [0.5], "gap_threshold": 0.9}))
+        out = tmp_path / "sweep.json"
+
+        def verdict(*flags):
+            argv = ["potts-sweep", "--config", str(cfg), "--format", "json", "--out", str(out)]
+            assert self.run(*argv, *flags) == 0
+            (row,) = json.loads(out.read_text())
+            return row["localized"], row["long_range_witnessed"]
+
+        assert verdict() == (True, True)  # the config's threshold
+        # the default value, given explicitly, beats the config too
+        assert verdict("--gap-threshold", "0.001") == (False, False)
+        assert verdict("--gap-threshold", "0.0010001") == (False, False)
+
+    @pytest.mark.parametrize(
+        "flags,config",
+        [
+            (["--sizes", "8", "--h", "0:0.8:0"], None),
+            (["--sizes", "8", "--h", ","], None),
+            ([], {"sizes": [], "h": [0.1]}),
+            ([], {"sizes": [8], "h": []}),
+        ],
+    )
+    def test_empty_sweep_is_configuration_error(self, tmp_path, capsys, flags, config):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(path)]
+        assert self.run("potts-sweep", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "empty sweep" in captured.err
+
     def test_amplitude_source(self, tmp_path):
         from infolattice import save_amplitudes
 
@@ -317,7 +387,12 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         "text,where",
-        [("dims 2 x\n1.0 0.0\n0.0 0.0\n", ":1: "), ("dims 2 2\n1.0 0.0\n0.0 0.0\n", ": ")],
+        [
+            ("dims 2 x\n1.0 0.0\n0.0 0.0\n", ":1: "),
+            ("dims 2 2\n1.0 0.0\n0.0 0.0\n", ": "),
+            ("dims 2\n1 0\n1 0\n", ": state norm "),
+            ("dims 2 2\nnan 0\n0 0\n0 0\n0 0\n", ": state norm "),
+        ],
     )
     def test_malformed_amplitude_file_rejected(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.txt"
@@ -330,7 +405,7 @@ class TestCLI:
         "target,exc,argv",
         [
             (
-                "infolattice.cli.compute_lattice",
+                "infolattice.lattice.compute_lattice",
                 np.linalg.LinAlgError("Eigenvalues did not converge"),
                 ["lattice", "--state", "ghz", "--L", "4"],
             ),
@@ -348,3 +423,61 @@ class TestCLI:
         monkeypatch.setattr(target, fail)
         assert self.run(*argv) == 3
         assert capsys.readouterr().err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize(
+        "target,argv",
+        [
+            ("infolattice.models.reference_state", ["lattice", "--state", "ghz", "--L", "40"]),
+            ("infolattice.models.symmetric_ground_state", ["witness", "--potts", "N=25"]),
+        ],
+    )
+    def test_memory_error_numerical_exit(self, monkeypatch, capsys, target, argv):
+        def fail(*args, **kwargs):  # stands in for an allocation that fails
+            raise MemoryError("Unable to allocate 16.0 TiB for an array")
+
+        monkeypatch.setattr(target, fail)
+        assert self.run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+
+    # flags that subcommands used to parse without reading; the base
+    # invocations are valid, so only the flag can make them fail
+    DELETED_FLAGS = [
+        ("summarize", ["--format", "json"]),
+        ("summarize", ["--tol", "1e-3"]),
+        ("fold", ["--tol", "1e-3"]),
+        ("fold", ["--gap-threshold", "0.1"]),
+        ("fold", ["--fold"]),
+        ("fold", ["--threads", "2"]),
+        ("witness", ["--fold"]),
+        ("mlgs", ["--tol", "1e-3"]),
+        ("mlgs", ["--gap-threshold", "0.1"]),
+        ("mlgs", ["--fold"]),
+        ("mlgs", ["--threads", "2"]),
+        ("mlgs", ["--amplitudes", "{amps}"]),
+        ("circuit-run", ["--tol", "1e-3"]),
+        ("circuit-run", ["--gap-threshold", "0.1"]),
+        ("circuit-run", ["--fold"]),
+        ("circuit-run", ["--threads", "2"]),
+        ("circuit-run", ["--state", "ghz"]),
+        ("circuit-run", ["--amplitudes", "{amps}"]),
+        ("potts-sweep", ["--seed", "1"]),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,flag", DELETED_FLAGS, ids=[f"{c} {f[0]}" for c, f in DELETED_FLAGS]
+    )
+    def test_deleted_flag_exits_config(self, tmp_path, capsys, command, flag):
+        circuit = tmp_path / "ghz.qc"
+        circuit.write_text(GHZ_CIRCUIT)
+        amps = tmp_path / "amps.txt"
+        amps.write_text("dims 2\n1.0 0.0\n0.0 0.0\n")
+        base = {
+            "circuit-run": ["--circuit", str(circuit)],
+            "potts-sweep": ["--sizes", "8", "--h", "0.3"],
+        }.get(command, ["--state", "ghz", "--L", "4"])
+        flag = [tok.format(amps=amps) for tok in flag]
+        with pytest.raises(SystemExit) as exc:
+            self.run(command, *base, *flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err

@@ -14,6 +14,7 @@ import pytest
 from infolattice import (
     InfoLattice,
     PureState,
+    analyze,
     compute_lattice,
     fold,
     gamma_folded,
@@ -155,6 +156,13 @@ class TestFold:
     def test_too_short(self):
         with pytest.raises(ValueError):
             fold(PureState([1, 0], (2,)))
+
+    def test_analyze_fold_needs_two_sites(self):
+        s = PureState([1, 0], (2,))
+        with pytest.raises(ValueError):
+            analyze(s)
+        _, summary = analyze(s, with_fold=False)
+        assert summary.gamma_folded is None
 
 
 class TestGammaFolded:

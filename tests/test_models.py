@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from infolattice import PureState, compute_lattice, summarize
 from infolattice.errors import ConfigurationError
+from infolattice.tableau import statevector_from_tableau
 from infolattice.models import (
     CLOCK_Z,
     SHIFT_X,
@@ -25,6 +26,7 @@ from infolattice.models import (
     potts_point,
     potts_sweep,
     reference_state,
+    reference_tableau,
     symmetric_ground_state,
     symmetric_sector_isometry,
     t_doped_state,
@@ -71,6 +73,25 @@ class TestReferenceStates:
     def test_unknown(self):
         with pytest.raises(ConfigurationError):
             reference_state("w_state", 4)
+
+    @pytest.mark.parametrize(
+        "name,length",
+        [(name, L) for name in ("neel", "ghz") for L in range(2, 13)] + [("bell", 4)],
+    )
+    def test_tableau_matches_dense(self, name, length):
+        dense = reference_state(name, length)
+        t = reference_tableau(name, length)
+        overlap = np.vdot(dense.amps, statevector_from_tableau(t).amps)
+        assert abs(abs(overlap) - 1.0) < 1e-12
+        assert t.integer_info_lattice().allclose(compute_lattice(dense), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "name,length", [("neel", 0), ("ghz", 1), ("bell", 3), ("bell", 6), ("w_state", 4)]
+    )
+    def test_both_engines_reject_the_same_names_and_lengths(self, name, length):
+        for build in (reference_state, reference_tableau):
+            with pytest.raises(ConfigurationError):
+                build(name, length)
 
     def test_cat_state(self):
         c = cat_state(3, 4)

@@ -231,6 +231,13 @@ class TestMirrorAndIO:
         with pytest.raises(ValueError, match=message):
             load_amplitudes(str(path))
 
+    @pytest.mark.parametrize("rows", ["1 0\n1 0\n", "nan 0\n0 0\n", "1 inf\n0 0\n"])
+    def test_load_rejects_unnormalized_or_nonfinite_rows(self, tmp_path, rows):
+        path = tmp_path / "bad.txt"
+        path.write_text("dims 2\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: state norm ")):
+            load_amplitudes(str(path))
+
     @pytest.mark.parametrize("rows", [1, 3, 5])
     def test_load_rejects_wrong_amplitude_count(self, tmp_path, rows):
         path = tmp_path / "bad.txt"
