@@ -22,11 +22,9 @@ from .lattice import (
 from .pauli import PauliString, SupportInterval, commutes, multiply, row_reduce
 from .states import (
     PureState,
-    ReducedDensityMatrix,
     entropy_bits,
     load_amplitudes,
     save_amplitudes,
-    von_neumann_entropy,
 )
 from .tableau import (
     CliffordCircuit,
@@ -57,7 +55,6 @@ __all__ = [
     "PauliString",
     "SupportInterval",
     "PureState",
-    "ReducedDensityMatrix",
     "StabilizerTableau",
     "CliffordCircuit",
     "analyze",
@@ -74,7 +71,6 @@ __all__ = [
     "save_amplitudes",
     "statevector_from_tableau",
     "summarize",
-    "von_neumann_entropy",
     "witness_long_range",
     "witness_nonstabilizerness",
 ]

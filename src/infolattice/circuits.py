@@ -1,10 +1,12 @@
 """Circuit and generator file formats.
 
 Gate files are line oriented: one gate per line (``H 0``, ``CNOT 0 1``,
-``T 3``), ``LAYER`` as a layer separator, ``#`` comments and blank lines
-ignored.  Generator files carry one signed Pauli string per line (the same
-format the tableau dump emits).  JSON files describe seeded random circuit
-families instead of explicit gate lists.
+``T 3``); ``LAYER`` lines (layer separators, read by no consumer), ``#``
+comments and blank lines are ignored.  Generator files carry one signed
+Pauli string per line (the same format the tableau dump emits).  JSON files
+describe seeded random circuit families instead of explicit gate lists.
+Gates are checked once, by :func:`gates.check_gates`, in the engine that
+runs them.
 """
 
 from __future__ import annotations
@@ -13,16 +15,14 @@ import json
 from typing import Optional, Sequence
 
 from . import gates, models
-from .errors import ConfigurationError, NonCliffordGateError
+from .errors import ConfigurationError
 from .pauli import PauliString
 from .states import PureState
 from .tableau import StabilizerTableau
 
-LAYER_MARKER = ("LAYER", ())
-
 
 def parse_circuit_text(text: str) -> list[gates.Gate]:
-    """Parse a gate list; LAYER lines become ("LAYER", ()) markers."""
+    """Parse a gate list; bare LAYER lines are dropped."""
     circuit: list[gates.Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -33,7 +33,6 @@ def parse_circuit_text(text: str) -> list[gates.Gate]:
         if name == "LAYER":
             if len(parts) != 1:
                 raise ConfigurationError(f"line {lineno}: LAYER takes no arguments")
-            circuit.append(LAYER_MARKER)
             continue
         arity = gates.GATE_ARITY.get(name)
         if arity is None:
@@ -52,10 +51,6 @@ def parse_circuit_text(text: str) -> list[gates.Gate]:
     return circuit
 
 
-def strip_layer_markers(circuit: Sequence[gates.Gate]) -> list[gates.Gate]:
-    return [g for g in circuit if g[0] != "LAYER"]
-
-
 def circuit_width(circuit: Sequence[gates.Gate]) -> int:
     width = 0
     for _, qubits in circuit:
@@ -65,35 +60,35 @@ def circuit_width(circuit: Sequence[gates.Gate]) -> int:
 
 
 def circuit_is_clifford(circuit: Sequence[gates.Gate]) -> bool:
-    return all(g[0] == "LAYER" or gates.is_clifford(g[0]) for g in circuit)
+    return all(name in gates.CLIFFORD_GATES for name, _ in circuit)
+
+
+def _chain_length(circuit: Sequence[gates.Gate], length: Optional[int]) -> int:
+    """The explicit length, or the circuit's width; at least one site."""
+    width = circuit_width(circuit)
+    L = width if length is None else length
+    if L < max(1, width):
+        raise ConfigurationError("explicit length smaller than largest qubit index")
+    return L
 
 
 def run_circuit_tableau(
     circuit: Sequence[gates.Gate], length: Optional[int] = None
 ) -> StabilizerTableau:
     """Run a Clifford-only gate list on |0...0>."""
-    body = strip_layer_markers(circuit)
-    for name, _ in body:
-        if not gates.is_clifford(name):
-            raise NonCliffordGateError(
-                f"gate {name} is not Clifford; the tableau engine cannot run it"
-            )
-    L = circuit_width(body) if length is None else length
-    if L < max(1, circuit_width(body)):
-        raise ConfigurationError("explicit length smaller than largest qubit index")
-    return StabilizerTableau.zero_state(max(L, 1)).apply_circuit(body)
+    return StabilizerTableau.zero_state(_chain_length(circuit, length)).apply_circuit(circuit)
 
 
 def run_circuit_dense(
     circuit: Sequence[gates.Gate], length: Optional[int] = None
 ) -> PureState:
     """Run any supported gate list (Clifford + T) densely on |0...0>."""
-    body = strip_layer_markers(circuit)
-    L = circuit_width(body) if length is None else length
-    if L < max(1, circuit_width(body)):
-        raise ConfigurationError("explicit length smaller than largest qubit index")
-    psi = PureState.from_label("0" * max(L, 1))
-    for name, qubits in body:
+    L = _chain_length(circuit, length)
+    circuit = [(name, tuple(qubits)) for name, qubits in circuit]
+    # every gate is checked before the first one runs
+    gates.check_gates(dict.fromkeys(circuit), L, gates.GATE_ARITY)
+    psi = PureState.from_label("0" * L)
+    for name, qubits in circuit:
         psi = psi.apply_gate(name, *qubits)
     return psi
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from typing import Optional
 
@@ -144,18 +145,17 @@ def _reference(args: argparse.Namespace, build):
     return build(args.state, args.length)
 
 
+def _check_one_source(args: argparse.Namespace) -> None:
+    """Raise unless exactly one of the subcommand's state source flags is given."""
+    flags = [f for f in ("state", "circuit", "amplitudes", "potts") if hasattr(args, f)]
+    if sum(getattr(args, f) is not None for f in flags) != 1:
+        listed = ", ".join(f"--{f}" for f in flags)
+        raise ConfigurationError(f"exactly one state source required ({listed})")
+
+
 def load_state(args: argparse.Namespace) -> PureState:
     """Resolve the configured state source to a dense state."""
-    sources = [
-        args.state is not None,
-        args.circuit is not None,
-        args.amplitudes is not None,
-        args.potts is not None,
-    ]
-    if sum(sources) != 1:
-        raise ConfigurationError(
-            "exactly one state source required (--state, --circuit, --amplitudes, --potts)"
-        )
+    _check_one_source(args)
     if args.state is not None:
         return _reference(args, models.reference_state)
     if args.amplitudes is not None:
@@ -251,17 +251,16 @@ def cmd_witness(args) -> int:
 
 
 def cmd_mlgs(args) -> int:
-    if args.circuit is not None:
+    _check_one_source(args)
+    if args.state is not None:
+        t = _reference(args, models.reference_tableau)
+    else:
         kind, payload = circuits.load_circuit_file(args.circuit, args.seed)
         t = _source_tableau(kind, payload, args.length)
         if t is None:
             raise NonCliffordGateError(
                 "mlgs needs a stabilizer state; the circuit source is not Clifford"
             )
-    elif args.state is not None:
-        t = _reference(args, models.reference_tableau)
-    else:
-        raise ConfigurationError("mlgs needs --circuit or --state")
     entries = t.maximally_local_generating_set()
     if args.format == "json":
         payload = {
@@ -300,27 +299,47 @@ def cmd_potts_sweep(args) -> int:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"bad sweep config: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigurationError("bad sweep config: expected a JSON object")
 
     def setting(flag, key, default):
         """A flag that was given beats the config file, which beats the default."""
         return flag if flag is not None else cfg.get(key, default)
 
-    sizes = setting(
-        None if args.sizes is None else [int(tok) for tok in args.sizes.split(",")],
-        "sizes",
-        [8, 10, 12],
-    )
-    fields = setting(None if args.h is None else _parse_h_grid(args.h), "h", None)
-    if fields is None:
-        fields = _parse_h_grid(cfg.get("h_grid", "0:0.8:17"))
+    def numbers(values, kind) -> bool:
+        return isinstance(values, list) and all(
+            isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v) for v in values
+        )
+
+    try:
+        sizes = setting(
+            None if args.sizes is None else [int(tok) for tok in args.sizes.split(",")],
+            "sizes",
+            [8, 10, 12],
+        )
+        fields = setting(None if args.h is None else _parse_h_grid(args.h), "h", None)
+        if fields is None:
+            fields = _parse_h_grid(cfg.get("h_grid", "0:0.8:17"))
+        coupling = float(setting(args.coupling, "J", 1.0))
+        gap_threshold = float(setting(args.gap_threshold, "gap_threshold", DEFAULT_GAP_THRESHOLD))
+        tol = float(setting(args.tol, "tol", GROUND_STATE_TOL))
+    except TypeError as exc:  # a JSON list or object where a string or number belongs
+        raise ConfigurationError(f"bad sweep config: {exc}") from None
+    if not numbers(sizes, int):
+        raise ConfigurationError(f"sweep sizes must be a list of integers, got {sizes!r}")
+    if not numbers(fields, (int, float)):
+        raise ConfigurationError(f"sweep h must be a list of finite numbers, got {fields!r}")
     fields = [float(h) for h in fields]
     if not sizes or not fields:
         raise ConfigurationError("empty sweep: no sizes or no field values")
-    coupling = float(setting(args.coupling, "J", 1.0))
-    gap_threshold = float(setting(args.gap_threshold, "gap_threshold", DEFAULT_GAP_THRESHOLD))
-    tol = float(setting(args.tol, "tol", GROUND_STATE_TOL))
     granularity = setting(args.granularity, "granularity", "qubit")
     out = setting(args.out, "out", None)
+    if not isinstance(out, (str, type(None))):  # open() would take an int as a descriptor
+        raise ConfigurationError(f"sweep out must be a file name, got {out!r}")
+    # every point is checked before the first (possibly long) solve
+    for length in sizes:
+        for h in fields:
+            models.potts_point_spec(length, h, coupling, granularity)
 
     rows = models.potts_sweep(sizes, fields, coupling, gap_threshold, tol, granularity)
     failures = sum(1 for r in rows if r.error is not None)
@@ -339,8 +358,7 @@ def cmd_potts_sweep(args) -> int:
 
 
 def cmd_circuit_run(args) -> int:
-    if args.circuit is None:
-        raise ConfigurationError("circuit-run needs --circuit")
+    _check_one_source(args)
     kind, payload = circuits.load_circuit_file(args.circuit, args.seed)
     t = _source_tableau(kind, payload, args.length)
     if t is None:
@@ -467,7 +485,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (
         # LinAlgError is a ValueError, so this clause comes first
         np.linalg.LinAlgError,
-        models.spla.ArpackNoConvergence,
         NumericalError,
         TableauConsistencyError,
         MemoryCapError,

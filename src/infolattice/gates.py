@@ -9,6 +9,8 @@ convention that lower site indices are more significant tensor factors.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from .errors import NonCliffordGateError
@@ -20,8 +22,25 @@ GATE_ARITY = {**CLIFFORD_GATES, **NON_CLIFFORD_GATES}
 Gate = tuple  # (name, (qubits...))
 
 
-def is_clifford(name: str) -> bool:
-    return name in CLIFFORD_GATES
+def check_gates(circuit: Iterable[Gate], length: int, arity: dict[str, int]) -> None:
+    """Raise unless every gate is named in ``arity`` and acts on that many
+    distinct qubits in ``[0, length)``; the first bad gate is reported.
+
+    A name outside ``arity`` raises NonCliffordGateError when ``arity`` is the
+    Clifford set (the tableau cannot run it) and ValueError otherwise; a wrong
+    arity or a repeated qubit raises ValueError, a qubit out of range IndexError.
+    """
+    for name, qubits in circuit:
+        if name not in arity:
+            error = NonCliffordGateError if arity is CLIFFORD_GATES else ValueError
+            raise error(f"gate {name!r} is not in the gate set {sorted(arity)}")
+        if len(qubits) != arity[name]:
+            raise ValueError(f"gate {name} expects {arity[name]} qubit(s), got {len(qubits)}")
+        for q in qubits:
+            if not 0 <= q < length:
+                raise IndexError(f"gate {name}: qubit {q} out of range (L={length})")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"gate {name} needs distinct qubits, got {tuple(qubits)}")
 
 
 def conjugate_columns(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .pauli import SupportInterval
-from .states import DEFAULT_MAX_RDM_SIDE, PureState
+from .states import PureState
 
 CLAMP_EPS = 1e-12
 DEFAULT_GAP_THRESHOLD = 1e-3
@@ -122,7 +122,6 @@ def _default_threads() -> int:
 def _interval_informations(
     state: PureState,
     intervals: Sequence[tuple[int, int]],
-    max_rdm_side: int,
     threads: Optional[int],
 ) -> list[float]:
     """Information ``sum log2 d - S`` of each ``(left, scale)`` interval, in order.
@@ -134,9 +133,7 @@ def _interval_informations(
 
     def entropy(pair: tuple[int, int]) -> float:
         left, scale = pair
-        return state.entropy_of_interval(
-            SupportInterval(left, left + scale), max_side=max_rdm_side
-        )
+        return state.entropy_of_interval(SupportInterval(left, left + scale))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -151,12 +148,7 @@ def _interval_informations(
     ]
 
 
-def compute_lattice(
-    state: PureState,
-    *,
-    max_rdm_side: int = DEFAULT_MAX_RDM_SIDE,
-    threads: Optional[int] = None,
-) -> InfoLattice:
+def compute_lattice(state: PureState, *, threads: Optional[int] = None) -> InfoLattice:
     """Entropy-based information lattice of a pure state.
 
     Every contiguous interval's von Neumann entropy is computed once and
@@ -164,7 +156,7 @@ def compute_lattice(
     """
     L = state.num_sites
     intervals = [(left, scale) for scale in range(L) for left in range(L - scale)]
-    flat = iter(_interval_informations(state, intervals, max_rdm_side, threads))
+    flat = iter(_interval_informations(state, intervals, threads))
     info = [[next(flat) for _ in range(L - scale)] for scale in range(L)]
     return lattice_from_interval_info(state.log2_dims, info)
 
@@ -306,7 +298,6 @@ def gamma_folded(
     state: PureState,
     *,
     granularity: str = "site",
-    max_rdm_side: int = DEFAULT_MAX_RDM_SIDE,
     threads: Optional[int] = None,
 ) -> float:
     """Large-scale information after the fold-in-half locality change.
@@ -341,7 +332,7 @@ def gamma_folded(
     cut = L // 2
     upper = [(left, cut - 1) for left in range(L - cut + 1)] if cut >= 1 else []
     lower = [(left, cut - 2) for left in range(1, L - cut + 1)] if cut >= 2 else []
-    info = _interval_informations(chain, upper + lower, max_rdm_side, threads)
+    info = _interval_informations(chain, upper + lower, threads)
     a_upper, inner_lower = info[: len(upper)], info[len(upper) :]
     return math.fsum([*chain.log2_dims, *(-v for v in a_upper), *inner_lower])
 
@@ -351,7 +342,6 @@ def analyze(
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     *,
     with_fold: bool = True,
-    max_rdm_side: int = DEFAULT_MAX_RDM_SIDE,
     threads: Optional[int] = None,
 ) -> tuple[InfoLattice, LatticeSummary]:
     """Lattice plus summary, optionally with the folded large-scale total.
@@ -359,10 +349,8 @@ def analyze(
     The fold needs at least two sites; ``with_fold`` on a one-site state
     raises ValueError from :func:`gamma_folded`.
     """
-    lat = compute_lattice(state, max_rdm_side=max_rdm_side, threads=threads)
+    lat = compute_lattice(state, threads=threads)
     summary = summarize(lat, gap_threshold)
     if with_fold:
-        summary = summary.with_folded(
-            gamma_folded(state, max_rdm_side=max_rdm_side, threads=threads)
-        )
+        summary = summary.with_folded(gamma_folded(state, threads=threads))
     return lat, summary

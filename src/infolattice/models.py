@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import cliffords, gates
 from .errors import ConfigurationError, NumericalError
@@ -33,6 +30,9 @@ from .pauli import PauliString
 from .states import PureState
 from .tableau import StabilizerTableau, brickwork_bonds
 from .witness import GROUND_STATE_TOL, LatticeVerdict, witness_long_range
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -232,6 +232,8 @@ def potts_hamiltonian(spec: PottsSpec) -> sp.csr_matrix:
     The clock terms are diagonal; X_i and Xd_i are the basis permutations
     that shift digit i by one and by two.
     """
+    import scipy.sparse as sp  # scipy loads only for a Potts solve
+
     n = spec.qutrits
     dim = 3**n
     z = np.diag(CLOCK_Z)[_digits(n)]
@@ -250,6 +252,8 @@ def potts_hamiltonian(spec: PottsSpec) -> sp.csr_matrix:
 
 def charge_operator(n: int) -> sp.csr_matrix:
     """Global shift ``prod_i X_i`` as a sparse basis permutation."""
+    import scipy.sparse as sp
+
     dim = 3**n
     rows = _shifted(n, range(n))
     return sp.csr_matrix((np.ones(dim), (rows, np.arange(dim))), shape=(dim, dim))
@@ -262,6 +266,8 @@ def symmetric_sector_isometry(n: int) -> sp.csr_matrix:
     contributes the uniform combination of its members, in the column ranked
     by the orbit's smallest member.
     """
+    import scipy.sparse as sp
+
     dim = 3**n
     smallest = np.minimum.reduce(
         [np.arange(dim), _shifted(n, range(n), 1), _shifted(n, range(n), 2)]
@@ -271,16 +277,21 @@ def symmetric_sector_isometry(n: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, (np.arange(dim), cols)), shape=(dim, dim // 3))
 
 
-def symmetric_ground_state(
-    spec: PottsSpec, *, residual_tol: float = 1e-9
-) -> tuple[PureState, float]:
+# largest accepted eigen-residual ||H v - E v|| of a computed ground state
+GROUND_STATE_RESIDUAL_TOL = 1e-9
+
+
+def symmetric_ground_state(spec: PottsSpec) -> tuple[PureState, float]:
     """Lowest eigenvector of H in the charge-0 sector, with its energy.
 
     Takes the lowest eigenpair of the sector-projected Hamiltonian (dense
     below ~1000 states, Lanczos above), lifts back to the full space, fixes
     the global phase, and verifies the eigen-residual and the sector
-    membership.
+    membership.  Lanczos non-convergence raises NumericalError.
     """
+    import scipy.linalg as sla
+    import scipy.sparse.linalg as spla
+
     n = spec.qutrits
     h = potts_hamiltonian(spec)
     p = symmetric_sector_isometry(n)
@@ -291,7 +302,10 @@ def symmetric_ground_state(
             raise NumericalError("projected Hamiltonian lost hermiticity")
         energies, vectors = sla.eigh(dense, subset_by_index=[0, 0])
     else:
-        energies, vectors = spla.eigsh(h_sym.tocsc(), k=1, which="SA", tol=0)
+        try:
+            energies, vectors = spla.eigsh(h_sym.tocsc(), k=1, which="SA", tol=0)
+        except spla.ArpackNoConvergence as exc:
+            raise NumericalError(str(exc)) from exc
     energy = float(energies[0])
     v_sym = vectors[:, 0]
     v = p @ v_sym
@@ -299,8 +313,8 @@ def symmetric_ground_state(
     k = int(np.argmax(np.abs(v)))
     v = v * (abs(v[k]) / v[k])
     residual = float(np.linalg.norm(h @ v - energy * v))
-    if residual > residual_tol:
-        raise NumericalError(f"eigen-residual {residual} above {residual_tol}")
+    if residual > GROUND_STATE_RESIDUAL_TOL:
+        raise NumericalError(f"eigen-residual {residual} above {GROUND_STATE_RESIDUAL_TOL}")
     q = charge_operator(n)
     if float(np.linalg.norm(q @ v - v)) > 1e-9:
         raise NumericalError("ground state left the symmetric sector")
@@ -370,6 +384,22 @@ SWEEP_CSV_COLUMNS = [
 ]
 
 
+def potts_point_spec(
+    length: int, field: float, coupling: float = 1.0, granularity: str = "qubit"
+) -> PottsSpec:
+    """Qutrit chain of a sweep point: N = L/2 for ``qubit``, N = L for ``qutrit``.
+
+    Raises ConfigurationError for an unknown granularity, an odd qubit
+    length, or couplings that :class:`PottsSpec` rejects.
+    """
+    if granularity not in ("qubit", "qutrit"):
+        raise ConfigurationError(f"unknown granularity {granularity!r}")
+    if granularity == "qubit" and length % 2:
+        raise ConfigurationError("qubit chains have even length L = 2N")
+    n = length // 2 if granularity == "qubit" else length
+    return PottsSpec(n, coupling, field)
+
+
 def potts_point(
     length: int,
     field: float,
@@ -379,12 +409,7 @@ def potts_point(
     granularity: str = "qubit",
 ) -> tuple[SweepPoint, LatticeVerdict]:
     """Ground state -> (embedded) chain -> lattice -> verdict for one point."""
-    if granularity not in ("qubit", "qutrit"):
-        raise ConfigurationError(f"unknown granularity {granularity!r}")
-    if granularity == "qubit" and length % 2:
-        raise ConfigurationError("qubit chains have even length L = 2N")
-    n = length // 2 if granularity == "qubit" else length
-    gs, energy = symmetric_ground_state(PottsSpec(n, coupling, field))
+    gs, energy = symmetric_ground_state(potts_point_spec(length, field, coupling, granularity))
     chain = embed_qutrit_to_spins(gs) if granularity == "qubit" else gs
     _, summary = analyze(chain, gap_threshold, with_fold=True)
     verdict = witness_long_range(summary, tol)

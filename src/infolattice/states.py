@@ -3,13 +3,14 @@
 Amplitude indexing is row-major over sites with site 0 the most significant
 tensor factor, i.e. the basis label reads left to right like the ket.
 Chains may mix local dimensions (needed after folding); most constructors
-produce uniform-dimension chains.
+produce uniform-dimension chains.  Density matrices are plain Hermitized
+arrays, checked for finiteness, unit trace and Hermiticity when built; no
+side of one may exceed ``MAX_RDM_SIDE`` (MemoryCapError above it).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import DimensionMismatchError, MemoryCapError, NumericalError
 from .pauli import PauliString, SupportInterval
 
 NORM_ATOL = 1e-10
-DEFAULT_MAX_RDM_SIDE = 4096
+MAX_RDM_SIDE = 4096
 
 
 class PureState:
@@ -136,23 +137,12 @@ class PureState:
 
     def apply_gate(self, name: str, *qubits: int) -> "PureState":
         """Apply a named elementary gate (qubit chains only)."""
-        arity = gates.GATE_ARITY.get(name)
-        if arity is None:
-            raise ValueError(f"unknown gate {name!r}")
-        if len(qubits) != arity:
-            raise ValueError(f"gate {name} expects {arity} qubit(s)")
+        gates.check_gates([(name, qubits)], self.num_sites, gates.GATE_ARITY)
         for q in qubits:
-            if not 0 <= q < self.num_sites:
-                raise IndexError(f"qubit {q} out of range")
             if self.dims[q] != 2:
                 raise DimensionMismatchError(f"gate {name} needs a qubit at site {q}")
-        if arity == 1:
-            return self._apply_axes(gates.gate_matrix(name), qubits)
-        if qubits[0] == qubits[1]:
-            raise ValueError("two-qubit gate needs distinct qubits")
-        return self._apply_axes(
-            gates.gate_matrix(name).reshape(2, 2, 2, 2), qubits
-        )
+        op = gates.gate_matrix(name).reshape((2,) * (2 * len(qubits)))
+        return self._apply_axes(op, qubits)
 
     def _apply_axes(self, op: np.ndarray, axes: tuple[int, ...]) -> "PureState":
         """Contract an operator tensor (out-indices first) onto given site axes."""
@@ -170,30 +160,25 @@ class PureState:
         c = math.prod(self.dims[interval.right + 1 :])
         return a, m, c
 
-    def reduced_density(
-        self, interval: SupportInterval, max_side: int = DEFAULT_MAX_RDM_SIDE
-    ) -> "ReducedDensityMatrix":
+    def reduced_density(self, interval: SupportInterval) -> np.ndarray:
         """Reduced density matrix of a contiguous interval."""
         a, m, c = self._split(interval)
-        if m > max_side:
+        if m > MAX_RDM_SIDE:
             raise MemoryCapError(
-                f"RDM side {m} exceeds cap {max_side} for interval {interval}"
+                f"RDM side {m} exceeds cap {MAX_RDM_SIDE} for interval {interval}"
             )
         t = self.amps.reshape(a, m, c)
         rho = np.einsum("amc,anc->mn", t, t.conj())
         rho = 0.5 * (rho + rho.conj().T)
-        return ReducedDensityMatrix(
-            interval, self.dims[interval.left : interval.right + 1], rho
-        )
+        _check_density(rho, "RDM")
+        return rho
 
-    def complement_density(
-        self, interval: SupportInterval, max_side: int = DEFAULT_MAX_RDM_SIDE
-    ) -> np.ndarray:
+    def complement_density(self, interval: SupportInterval) -> np.ndarray:
         """Density matrix of the (possibly two-piece) complement of an interval."""
         a, m, c = self._split(interval)
-        if a * c > max_side:
+        if a * c > MAX_RDM_SIDE:
             raise MemoryCapError(
-                f"complement side {a * c} exceeds cap {max_side} for interval {interval}"
+                f"complement side {a * c} exceeds cap {MAX_RDM_SIDE} for interval {interval}"
             )
         t = self.amps.reshape(a, m, c)
         rho = np.einsum("amc,bmd->acbd", t, t.conj()).reshape(a * c, a * c)
@@ -201,9 +186,7 @@ class PureState:
         _check_density(rho, "complement density matrix")
         return rho
 
-    def entropy_of_interval(
-        self, interval: SupportInterval, max_side: int = DEFAULT_MAX_RDM_SIDE
-    ) -> float:
+    def entropy_of_interval(self, interval: SupportInterval) -> float:
         """Von Neumann entropy in bits, via the smaller of interval/complement.
 
         For a pure state both sides have equal entropy, so the cheaper
@@ -211,23 +194,8 @@ class PureState:
         """
         a, m, c = self._split(interval)
         if m <= a * c:
-            return entropy_bits(self.reduced_density(interval, max_side).matrix)
-        return entropy_bits(self.complement_density(interval, max_side))
-
-
-@dataclass(frozen=True)
-class ReducedDensityMatrix:
-    """Hermitized reduced density matrix of a contiguous interval."""
-
-    interval: SupportInterval
-    dims: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_density(self.matrix, "RDM")
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+            return entropy_bits(self.reduced_density(interval))
+        return entropy_bits(self.complement_density(interval))
 
 
 def _check_density(m: np.ndarray, what: str) -> None:
@@ -254,12 +222,6 @@ def entropy_bits(rho: np.ndarray) -> float:
     nz = lam[lam > 0.0]
     # an eigenvalue 1+eps would otherwise yield a spuriously negative total
     return max(0.0, float(-(nz * np.log2(nz)).sum()))
-
-
-def von_neumann_entropy(rdm: "ReducedDensityMatrix | np.ndarray") -> float:
-    """Entropy in bits of a reduced density matrix."""
-    m = rdm.matrix if isinstance(rdm, ReducedDensityMatrix) else np.asarray(rdm)
-    return entropy_bits(m)
 
 
 def apply_pauli(amps: np.ndarray, num_sites: int, p: PauliString) -> np.ndarray:

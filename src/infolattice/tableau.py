@@ -23,12 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels, cliffords, gates
-from .errors import (
-    DimensionMismatchError,
-    MemoryCapError,
-    NonCliffordGateError,
-    TableauConsistencyError,
-)
+from .errors import DimensionMismatchError, MemoryCapError, TableauConsistencyError
 from .lattice import InfoLattice
 from .pauli import PauliString, SupportInterval, default_column_order
 from .states import PureState, apply_pauli
@@ -124,17 +119,6 @@ class StabilizerTableau:
 
     # -- Clifford evolution ---------------------------------------------------
 
-    def _check_gate(self, name: str, qubits: tuple[int, ...]) -> None:
-        if name not in gates.CLIFFORD_GATES:
-            raise NonCliffordGateError(f"gate {name!r} not supported on tableaux")
-        if len(qubits) != gates.CLIFFORD_GATES[name]:
-            raise ValueError(f"gate {name} expects {gates.CLIFFORD_GATES[name]} qubits")
-        for q in qubits:
-            if not 0 <= q < self.length:
-                raise IndexError(f"qubit {q} out of range (L={self.length})")
-        if len(qubits) == 2 and qubits[0] == qubits[1]:
-            raise ValueError("two-qubit gate needs distinct qubits")
-
     def apply_clifford(self, name: str, *qubits: int) -> "StabilizerTableau":
         """New tableau with every generator conjugated by the gate."""
         return self.apply_circuit([(name, qubits)])
@@ -143,15 +127,16 @@ class StabilizerTableau:
         """New tableau with every generator conjugated by each gate in turn.
 
         The rows are transposed once into per-site bit planes, so that a gate
-        costs a few big-int operations instead of one update per row.
+        costs a few big-int operations instead of one update per row.  Each
+        distinct gate is checked once, before the first one is applied.
         """
+        circuit = [(name, tuple(qubits)) for name, qubits in circuit]
+        gates.check_gates(dict.fromkeys(circuit), self.length, gates.CLIFFORD_GATES)
         n = len(self._xs)
         xcols = _transpose(self._xs, self.length)
         zcols = _transpose(self._zs, self.length)
         odd, sign = _transpose(self._ph, 2)
         for name, qubits in circuit:
-            qubits = tuple(qubits)
-            self._check_gate(name, qubits)
             sign = gates.conjugate_columns(xcols, zcols, sign, name, qubits)
         return StabilizerTableau(
             self.length, _transpose(xcols, n), _transpose(zcols, n), _transpose([odd, sign], n)
@@ -343,9 +328,11 @@ class MLGSEntry:
     scale: int
 
 
-def statevector_from_tableau(
-    t: StabilizerTableau, max_sites: int = 20
-) -> PureState:
+# largest chain the dense bridge builds: 2^20 amplitudes, 16 MiB
+MAX_DENSE_SITES = 20
+
+
+def statevector_from_tableau(t: StabilizerTableau) -> PureState:
     """Dense unit vector stabilized by all generators (up to global phase).
 
     Projects a fixed pseudorandom vector with (1+g)/2 for every generator and
@@ -354,8 +341,8 @@ def statevector_from_tableau(
     amplitude real positive.
     """
     L = t.length
-    if L > max_sites:
-        raise MemoryCapError(f"dense bridge refused for L={L} > {max_sites}")
+    if L > MAX_DENSE_SITES:
+        raise MemoryCapError(f"dense bridge refused for L={L} > {MAX_DENSE_SITES}")
     dim = 1 << L
     gens = t.generators
     for attempt in range(8):

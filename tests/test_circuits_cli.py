@@ -1,7 +1,11 @@
 """Circuit files, generator files, and the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +13,30 @@ import pytest
 import jsonschema
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from infolattice import circuits, load_amplitudes
+import infolattice
+from infolattice import circuits, gates, load_amplitudes
 from infolattice.cli import main
 from infolattice.errors import ConfigurationError, NonCliffordGateError
 from infolattice.models import reference_state
 from infolattice.pauli import PauliString
-from infolattice.tableau import StabilizerTableau, statevector_from_tableau
+from infolattice.states import PureState
+from infolattice.tableau import (
+    StabilizerTableau,
+    random_clifford_circuit,
+    statevector_from_tableau,
+)
 
 GHZ_CIRCUIT = "H 0\nCNOT 0 1\nCNOT 1 2\nCNOT 2 3\n"
+SRC = str(Path(infolattice.__file__).resolve().parents[1])
+
+
+def run_python(*argv):
+    """Run ``python argv...`` in a fresh interpreter that imports this checkout."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
 
 
 def schema():
@@ -36,7 +56,7 @@ def validate(payload, def_name):
 class TestCircuitParsing:
     def test_basic(self):
         circ = circuits.parse_circuit_text("H 0\n# comment\n\nCNOT 0 1\nLAYER\nT 3\n")
-        assert circ == [("H", (0,)), ("CNOT", (0, 1)), ("LAYER", ()), ("T", (3,))]
+        assert circ == [("H", (0,)), ("CNOT", (0, 1)), ("T", (3,))]
 
     def test_unknown_gate(self):
         with pytest.raises(ConfigurationError):
@@ -156,6 +176,15 @@ class TestCLI:
     def test_exactly_one_source(self, capsys):
         code = self.run("lattice", "--state", "ghz", "--L", "4", "--amplitudes", "x")
         assert code == 2
+
+    def test_mlgs_exactly_one_source(self, tmp_path, capsys):
+        path = tmp_path / "ghz.qc"
+        path.write_text(GHZ_CIRCUIT)
+        assert self.run("mlgs", "--circuit", str(path), "--state", "neel", "--L", "4") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exactly one state source required (--state, --circuit)" in captured.err
+        assert self.run("mlgs") == 2
 
     def test_missing_length(self):
         assert self.run("lattice", "--state", "ghz") == 2
@@ -357,6 +386,37 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and "empty sweep" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags,config",
+        [
+            ([], {"sizes": 8, "h": [0.1]}),
+            ([], {"sizes": [8], "h": 0.5}),
+            (["--sizes", "7", "--h", "0.1"], None),
+            (["--sizes", "8", "--h", "-0.1"], None),
+            (["--sizes", "8", "--h", "0.1"], {"granularity": "bogus"}),
+            (["--sizes", "8", "--h", "0.1"], {"out": 1}),
+        ],
+    )
+    def test_sweep_configuration_error_before_solving(self, tmp_path, flags, config):
+        out = tmp_path / "sweep.csv"
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            flags = [*flags, "--config", str(path)]
+        if "out" not in (config or {}):  # a given --out would beat the config's
+            flags = [*flags, "--out", str(out)]
+        proc = run_python("-m", "infolattice.cli", "potts-sweep", *flags)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "" and proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_cli_import_leaves_scipy_out(self):
+        code = "import sys, infolattice.cli; print('scipy' in sys.modules)"
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_amplitude_source(self, tmp_path):
         from infolattice import save_amplitudes
 
@@ -410,7 +470,7 @@ class TestCLI:
                 ["lattice", "--state", "ghz", "--L", "4"],
             ),
             (
-                "infolattice.models.spla.eigsh",
+                "scipy.sparse.linalg.eigsh",
                 ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((0, 0))),
                 ["witness", "--potts", "N=7,h=0.3"],
             ),
@@ -481,3 +541,75 @@ class TestCLI:
             self.run(command, *base, *flag)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+# The gate rule, one row per kind of bad gate, on every engine entry point.
+# Columns: the tableau (apply_clifford and apply_circuit), the dense state
+# (PureState.apply_gate), the circuit runners (run_circuit_tableau and
+# run_circuit_dense, explicit length L) and the CLI exit code of circuit-run
+# and lattice on a gate file; None means the gate runs.
+GATE_L = 3
+GATE_RULE = [
+    ("unknown", ("FOO", (0,)), NonCliffordGateError, ValueError, NonCliffordGateError, ValueError, 2),
+    ("T", ("T", (0,)), NonCliffordGateError, None, NonCliffordGateError, None, 0),
+    ("arity", ("H", (0, 1)), ValueError, ValueError, ValueError, ValueError, 2),
+    ("qubit=L", ("H", (GATE_L,)), IndexError, IndexError, ConfigurationError, ConfigurationError, 2),
+    ("negative", ("H", (-1,)), IndexError, IndexError, IndexError, IndexError, 2),
+    ("repeated", ("CNOT", (1, 1)), ValueError, ValueError, ValueError, ValueError, 2),
+]
+
+
+def raised(fn):
+    """The exact type of the exception ``fn()`` raises, or None."""
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "gate,tableau,dense,run_tableau,run_dense,exit_code",
+    [row[1:] for row in GATE_RULE],
+    ids=[row[0] for row in GATE_RULE],
+)
+def test_gate_rule_across_engines(
+    tmp_path, capsys, gate, tableau, dense, run_tableau, run_dense, exit_code
+):
+    name, qubits = gate
+    zero = StabilizerTableau.zero_state(GATE_L)
+    circuit = [("H", (0,)), gate]
+    assert raised(lambda: zero.apply_clifford(name, *qubits)) is tableau
+    assert raised(lambda: zero.apply_circuit(circuit)) is tableau
+    assert raised(lambda: PureState.from_label("0" * GATE_L).apply_gate(name, *qubits)) is dense
+    assert raised(lambda: circuits.run_circuit_tableau(circuit, GATE_L)) is run_tableau
+    assert raised(lambda: circuits.run_circuit_dense(circuit, GATE_L)) is run_dense
+    path = tmp_path / "gates.qc"
+    path.write_text(f"H 0\nLAYER\n{name} {' '.join(map(str, qubits))}\n")
+    for command in ("circuit-run", "lattice"):
+        assert main([command, "--circuit", str(path), "--L", str(GATE_L)]) == exit_code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") if exit_code else err == ""
+
+
+def test_apply_circuit_checks_distinct_gates_once(monkeypatch):
+    checked = []
+    real = gates.check_gates
+
+    def counting(circuit, length, arity):
+        checked.append(list(circuit))
+        return real(checked[-1], length, arity)
+
+    monkeypatch.setattr(gates, "check_gates", counting)
+    sequence = random_clifford_circuit(16, 16, 5).gate_sequence()
+    StabilizerTableau.zero_state(16).apply_circuit(sequence)
+    assert len(checked) == 1
+    assert len(checked[0]) == len(set(sequence)) < len(sequence)
+
+    # one bad gate at the end of a 10,000-gate circuit is still rejected
+    body = (sequence * (10_000 // len(sequence) + 1))[:10_000]
+    for bad, error in ((("CNOT", (4, 4)), ValueError), (("H", (16,)), IndexError)):
+        checked.clear()
+        with pytest.raises(error):
+            StabilizerTableau.zero_state(16).apply_circuit(body + [bad])
+        assert len(checked) == 1
