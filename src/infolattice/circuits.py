@@ -12,6 +12,7 @@ runs them.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import gates, models
@@ -66,6 +67,8 @@ def circuit_is_clifford(circuit: Sequence[gates.Gate]) -> bool:
 def _chain_length(circuit: Sequence[gates.Gate], length: Optional[int]) -> int:
     """The explicit length, or the circuit's width; at least one site."""
     width = circuit_width(circuit)
+    if length is None and not circuit:
+        raise ConfigurationError("the circuit file has no gates; set the chain length with --L")
     L = width if length is None else length
     if L < max(1, width):
         raise ConfigurationError("explicit length smaller than largest qubit index")
@@ -135,7 +138,8 @@ def parse_circuit_spec(
     """Parse a JSON random-circuit family spec.
 
     Returns ``("t_doped", TDopedCircuitSpec)`` or
-    ``("random_clifford", (L, layers, seed))``.
+    ``("random_clifford", (L, layers, seed))``.  Every key must be known to
+    the family and every value a JSON integer; ``L`` and a seed are required.
     """
     try:
         raw = json.loads(text)
@@ -143,23 +147,27 @@ def parse_circuit_spec(
         raise ConfigurationError(f"bad circuit spec JSON: {exc}") from None
     if not isinstance(raw, dict) or "type" not in raw:
         raise ConfigurationError("circuit spec needs a 'type' field")
-    kind = raw["type"]
-    seed = seed_override if seed_override is not None else raw.get("seed")
-    if seed is None:
+    kind = raw.pop("type")
+    if seed_override is not None:
+        raw["seed"] = seed_override
+    if raw.get("seed") is None:
         raise ConfigurationError("randomized circuit spec needs a seed")
     if kind == "t_doped":
-        spec = models.TDopedCircuitSpec(
-            length=int(raw["L"]),
-            blocks=int(raw.get("blocks", 3)),
-            clifford_layers_per_block=int(raw.get("clifford_layers_per_block", 10)),
-            t_gates_per_block=int(raw.get("t_gates_per_block", 5)),
-            seed=int(seed),
-            entangling_layers=int(raw.get("entangling_layers", 2)),
-        )
-        return "t_doped", spec
-    if kind == "random_clifford":
-        return "random_clifford", (int(raw["L"]), int(raw.get("layers", 2)), int(seed))
-    raise ConfigurationError(f"unknown circuit spec type {kind!r}")
+        known = ["L"] + [f.name for f in fields(models.TDopedCircuitSpec) if f.name != "length"]
+    elif kind == "random_clifford":
+        known = ["L", "layers", "seed"]
+    else:
+        raise ConfigurationError(f"unknown circuit spec type {kind!r}")
+    for key, value in raw.items():
+        if key not in known:
+            raise ConfigurationError(f"unknown key {key!r} in {kind} circuit spec")
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigurationError(f"circuit spec key {key!r} must be an integer, got {value!r}")
+    if "L" not in raw:
+        raise ConfigurationError(f"{kind} circuit spec needs the key 'L'")
+    if kind == "t_doped":
+        return kind, models.TDopedCircuitSpec(raw.pop("L"), **raw)
+    return kind, (raw["L"], raw.get("layers", 2), raw["seed"])
 
 
 def load_circuit_file(

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import circuits, models
+from . import circuits, models, witness
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
@@ -332,6 +332,9 @@ def cmd_potts_sweep(args) -> int:
     fields = [float(h) for h in fields]
     if not sizes or not fields:
         raise ConfigurationError("empty sweep: no sizes or no field values")
+    if not numbers([gap_threshold], float):
+        raise ConfigurationError(f"sweep gap_threshold must be finite, got {gap_threshold!r}")
+    witness.check_tolerance(tol)
     granularity = setting(args.granularity, "granularity", "qubit")
     out = setting(args.out, "out", None)
     if not isinstance(out, (str, type(None))):  # open() would take an int as a descriptor

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigurationError, NumericalError
 from .pauli import SupportInterval
 from .states import PureState
 
@@ -209,6 +209,8 @@ def summarize(lat: InfoLattice, gap_threshold: float = DEFAULT_GAP_THRESHOLD) ->
     window of width >= 2 exists or when the large-scale total itself lies
     below the threshold (purely short-range information).
     """
+    if not math.isfinite(gap_threshold):
+        raise ConfigurationError(f"gap threshold must be finite, got {gap_threshold!r}")
     I = lat.info_per_scale()
     L = lat.num_sites
     cut = L // 2
@@ -271,11 +273,10 @@ def fold(state: PureState) -> PureState:
     if L < 2:
         raise ValueError("folding needs at least two sites")
     half = L // 2
-    folded = state.tensor().transpose(_fold_order(L)).ravel()
     dims = [state.dims[k] * state.dims[L - 1 - k] for k in range(half)]
     if L % 2:
         dims.append(state.dims[half])
-    return PureState(folded, dims)
+    return PureState(interleave(state).amps, dims)
 
 
 def interleave(state: PureState) -> PureState:

@@ -78,9 +78,7 @@ def reference_state(name: str, length: int) -> PureState:
         amps = np.zeros(16, dtype=complex)
         amps[0b0101] = amps[0b0011] = 1.0 / np.sqrt(2.0)
         return PureState(amps, (2, 2, 2, 2))
-    amps = np.zeros(2**length, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return PureState(amps, (2,) * length)
+    return cat_state(2, length)
 
 
 def reference_tableau(name: str, length: int) -> StabilizerTableau:
@@ -97,10 +95,8 @@ def reference_tableau(name: str, length: int) -> StabilizerTableau:
     if name == "bell":
         labels = ("ZIII", "IXXI", "-IZZI", "-IIIZ")
         return StabilizerTableau.from_generators([PauliString.from_label(s) for s in labels])
-    t = StabilizerTableau.zero_state(length).apply_clifford("H", 0)
-    for c in range(length - 1):
-        t = t.apply_clifford("CNOT", c, c + 1)
-    return t
+    cnots = [("CNOT", (c, c + 1)) for c in range(length - 1)]
+    return StabilizerTableau.zero_state(length).apply_circuit([("H", (0,)), *cnots])
 
 
 def cat_state(branches: int, length: int, local_dim: Optional[int] = None) -> PureState:

@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels, cliffords, gates
 from .errors import DimensionMismatchError, MemoryCapError, TableauConsistencyError
 from .lattice import InfoLattice
-from .pauli import PauliString, SupportInterval, default_column_order
+from .pauli import PauliString, SupportInterval
 from .states import PureState, apply_pauli
 
 
@@ -50,40 +50,35 @@ class StabilizerTableau:
         return cls(length, [0] * length, [1 << j for j in range(length)], [0] * length)
 
     @classmethod
-    def from_generators(
-        cls, generators: Sequence[PauliString], validate: bool = True
-    ) -> "StabilizerTableau":
+    def from_generators(cls, generators: Sequence[PauliString]) -> "StabilizerTableau":
+        """Tableau of L independent, commuting, Hermitian generators; the rank
+        check builds the clipped gauge that later queries reuse."""
         gens = list(generators)
         if not gens:
             raise ValueError("empty generator list")
         length = gens[0].length
-        xs = [g.x for g in gens]
-        zs = [g.z for g in gens]
-        ph = [g.phase_exp for g in gens]
-        if validate:
-            if len(gens) != length:
-                raise TableauConsistencyError(
-                    f"{len(gens)} generators for {length} qubits (need exactly L)"
-                )
-            for g in gens:
-                if g.length != length:
-                    raise DimensionMismatchError("generators of mixed length")
-                if not g.is_hermitian:
-                    raise TableauConsistencyError(f"non-Hermitian generator {g}")
-            for i, a in enumerate(gens):
-                for b in gens[i + 1 :]:
-                    if not a.commutes_with(b):
-                        raise TableauConsistencyError(
-                            f"generators {a} and {b} anticommute"
-                        )
-            rank, _ = _kernels.reduce_pauli_rows(
-                list(xs), list(zs), list(ph), default_column_order(length)
+        if len(gens) != length:
+            raise TableauConsistencyError(
+                f"{len(gens)} generators for {length} qubits (need exactly L)"
             )
-            if rank != length:
-                raise TableauConsistencyError(
-                    f"generators span rank {rank} < {length}"
-                )
-        return cls(length, xs, zs, ph)
+        for g in gens:
+            if g.length != length:
+                raise DimensionMismatchError("generators of mixed length")
+            if not g.is_hermitian:
+                raise TableauConsistencyError(f"non-Hermitian generator {g}")
+        for i, a in enumerate(gens):
+            for b in gens[i + 1 :]:
+                if not a.commutes_with(b):
+                    raise TableauConsistencyError(
+                        f"generators {a} and {b} anticommute"
+                    )
+        t = cls(length, [g.x for g in gens], [g.z for g in gens], [g.phase_exp for g in gens])
+        rank = len(t._clipped_gauge())
+        if rank != length:
+            raise TableauConsistencyError(
+                f"generators span rank {rank} < {length}"
+            )
+        return t
 
     # -- views ---------------------------------------------------------------
 
@@ -111,11 +106,10 @@ class StabilizerTableau:
         """Phaseless membership of a string in the stabilizer group's span."""
         if p.length != self.length:
             raise DimensionMismatchError("string length does not match tableau")
-        xs = list(self._xs) + [p.x]
-        zs = list(self._zs) + [p.z]
-        ph = list(self._ph) + [p.phase_exp]
-        rank, _ = _kernels.reduce_pauli_rows(xs, zs, ph, default_column_order(self.length))
-        return rank == self.length
+        extended = StabilizerTableau(
+            self.length, self._xs + [p.x], self._zs + [p.z], self._ph + [p.phase_exp]
+        )
+        return len(extended._clipped_gauge()) == self.length
 
     # -- Clifford evolution ---------------------------------------------------
 
@@ -158,8 +152,8 @@ class StabilizerTableau:
         ..., which is unique, and each carries the sign of its group element.
         The clipped-gauge generators inside the interval generate the
         subgroup, so only they are reduced, over the interval's columns.  If
-        the span contains -I (possible for ``from_generators(validate=False)``)
-        signs are undefined; the rank and the Pauli letters still hold.
+        the span contains -I (possible for dependent constructor rows) signs are
+        undefined; the rank and the Pauli letters still hold.
         """
         self._check_interval(interval)
         gauge = self._clipped_gauge()
@@ -374,12 +368,7 @@ class CliffordCircuit:
     """
 
     length: int
-    seed: int
     assignments: tuple[tuple[tuple[tuple[int, int], int], ...], ...]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.assignments)
 
     def gate_sequence(self) -> list[gates.Gate]:
         """Elementary-gate expansion of the whole circuit."""
@@ -406,9 +395,6 @@ class CliffordCircuit:
                 out = out.apply_unitary(cliffords.clifford_matrix(2, idx), a)
         return out
 
-    def __call__(self, t: StabilizerTableau) -> StabilizerTableau:
-        return self.apply_to_tableau(t)
-
 
 def brickwork_bonds(length: int, layer: int) -> list[tuple[int, int]]:
     start = 0 if layer % 2 == 0 else 1
@@ -427,4 +413,4 @@ def random_clifford_circuit(length: int, layers: int, seed: int) -> CliffordCirc
         bonds = brickwork_bonds(length, k)
         idxs = cliffords.sample_indices(rng, 2, len(bonds))
         assignments.append(tuple(zip(bonds, idxs)))
-    return CliffordCircuit(length, seed, tuple(assignments))
+    return CliffordCircuit(length, tuple(assignments))

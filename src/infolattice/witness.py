@@ -10,6 +10,7 @@ without an information gap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +72,12 @@ class LatticeVerdict:
         return "; ".join(parts)
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ConfigurationError unless ``0 < tol < inf``; NaN fails too."""
+    if not 0 < tol < math.inf:
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 def witness_nonstabilizerness(
     lat: InfoLattice, tol: float = DEFAULT_TOL
 ) -> tuple[bool, float, Optional[tuple[float, int]]]:
@@ -78,8 +85,7 @@ def witness_nonstabilizerness(
 
     Returns ``(flag, max deviation, site)`` with the site given as ``(n, l)``.
     """
-    if tol <= 0:
-        raise ConfigurationError("tolerance must be positive")
+    check_tolerance(tol)
     dev, site = lat.max_integer_deviation()
     return dev > tol, dev, site
 
@@ -100,8 +106,7 @@ def witness_long_range(
     ``require_origin`` is false, in which case the origin is left
     unclassified as ``not_applicable``.
     """
-    if tol <= 0:
-        raise ConfigurationError("tolerance must be positive")
+    check_tolerance(tol)
     gamma = summary.gamma
     gamma_is_integer = abs(gamma - round(gamma)) <= tol
     long_range = summary.localized and not gamma_is_integer

@@ -14,7 +14,7 @@ import jsonschema
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import infolattice
-from infolattice import circuits, gates, load_amplitudes
+from infolattice import circuits, gates, load_amplitudes, models
 from infolattice.cli import main
 from infolattice.errors import ConfigurationError, NonCliffordGateError
 from infolattice.models import reference_state
@@ -319,6 +319,37 @@ class TestCLI:
         payload = json.loads(out.read_text())
         validate(payload, "tableau_dump")
 
+    def test_gate_file_without_gates(self, tmp_path, capsys):
+        path = tmp_path / "empty.qc"
+        path.write_text("# no gates here\nLAYER\n")
+        assert self.run("circuit-run", "--circuit", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no gates" in captured.err and "--L" in captured.err
+        assert self.run("circuit-run", "--circuit", str(path), "--L", "3") == 0
+        assert capsys.readouterr().out == "+ZII\n+IZI\n+IIZ\n"
+
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            ({"type": "t_doped", "seed": 1}, "L"),
+            ({"type": "random_clifford", "seed": 1}, "L"),
+            ({"type": "t_doped", "L": [8], "seed": 1}, "L"),
+            ({"type": "random_clifford", "L": 8.0, "seed": 1}, "L"),
+            ({"type": "random_clifford", "L": 8, "seed": "1"}, "seed"),
+            ({"type": "t_doped", "L": 12, "seed": 1, "blocks": True}, "blocks"),
+            ({"type": "random_clifford", "L": 8, "layers": None, "seed": 1}, "layers"),
+            ({"type": "t_doped", "L": 12, "seed": 1, "block": 7}, "block"),
+            ({"type": "random_clifford", "L": 8, "seed": 1, "layer": 9}, "layer"),
+        ],
+    )
+    def test_malformed_circuit_spec_exits_config(self, tmp_path, capsys, spec, key):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert self.run("circuit-run", "--circuit", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert f"{key!r}" in captured.err and "Traceback" not in captured.err
+
     def test_inconsistent_generators_numerical_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("+XI\n+ZI\n")  # anticommuting pair
@@ -385,6 +416,38 @@ class TestCLI:
         assert self.run("potts-sweep", *flags) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "empty sweep" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["witness", "--state", "neel", "--L", "4", "--tol", "nan"], None),
+            (["witness", "--state", "neel", "--L", "4", "--tol", "inf"], None),
+            (["witness", "--state", "neel", "--L", "4", "--tol", "0"], None),
+            (["witness", "--state", "neel", "--L", "4", "--gap-threshold", "nan"], None),
+            (["lattice", "--state", "neel", "--L", "4", "--tol=-1e-6"], None),
+            (["lattice", "--state", "neel", "--L", "4", "--gap-threshold", "nan"], None),
+            (["summarize", "--state", "neel", "--L", "4", "--gap-threshold", "inf"], None),
+            (["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "0"], None),
+            (["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "nan"], None),
+            (["potts-sweep", "--sizes", "8", "--h", "0.1", "--gap-threshold=-inf"], None),
+            (["potts-sweep"], {"sizes": [8], "h": [0.1], "tol": float("inf")}),
+            (["potts-sweep"], {"sizes": [8], "h": [0.1], "gap_threshold": float("nan")}),
+        ],
+    )
+    def test_bad_tolerance_exits_config(self, tmp_path, capsys, monkeypatch, argv, config):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(models, "symmetric_ground_state", unreachable)
+        assert self.run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "flags,config",

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from infolattice import _kernels, compute_lattice, fold, gamma_folded, interleave, summarize
+from infolattice.errors import TableauConsistencyError
 from infolattice.lattice import lattice_from_interval_info
-from infolattice.pauli import PauliString, SupportInterval
+from infolattice.pauli import PauliString, SupportInterval, default_column_order
 from infolattice.states import PureState, haar_random_state
 from infolattice.tableau import (
     StabilizerTableau,
@@ -155,7 +156,10 @@ def test_gauge_ranks_match_restriction_dependent_sets(length, layers, seed, data
     picked = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=length + 3))
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(picked), st.sampled_from(picked)), max_size=3))
     products = [PauliString(length, a.x ^ b.x, a.z ^ b.z) for a, b in pairs]
-    t = StabilizerTableau.from_generators(picked + products, validate=False)
+    rows = picked + products
+    t = StabilizerTableau(
+        length, [g.x for g in rows], [g.z for g in rows], [g.phase_exp for g in rows]
+    )
     assert_gauge_matches_restriction(t, signed=False)
 
 
@@ -178,3 +182,59 @@ def test_gauge_at_two_hundred_sites():
     lefts = rng.integers(0, 200, size=60)
     rights = [int(rng.integers(a, 200)) for a in lefts]
     assert_gauge_matches_restriction(t, list(zip(lefts.tolist(), rights)) + [(0, 199)])
+
+
+def rank_by_full_reduction(length, rows):
+    """Oracle for the gauge rank: phase-exact full reduction of all
+    ``(x, z, phase)`` rows, the rank check ``from_generators`` used to make."""
+    xs, zs, ph = (list(col) for col in zip(*rows))
+    rank, _ = _kernels.reduce_pauli_rows(xs, zs, ph, default_column_order(length))
+    return rank
+
+
+def products(strings, length):
+    """Phaseless products of two strings drawn from ``strings``."""
+    return st.tuples(strings, strings).map(
+        lambda ab: PauliString(length, ab[0].x ^ ab[1].x, ab[0].z ^ ab[1].z)
+    )
+
+
+@st.composite
+def generator_sets(draw):
+    """L commuting Hermitian strings of one stabilizer group, often dependent:
+    its generators with a few replaced by duplicates, products, identity rows
+    or sign-flipped copies."""
+    length = draw(st.integers(2, 10))
+    group = brickwork_tableau(length, draw(st.integers(0, 8)), draw(seeds)).generators
+    member = st.sampled_from(group)
+    variant = st.one_of(
+        member,
+        products(member, length),
+        st.just(PauliString.identity(length)),
+        member.map(lambda g: PauliString(length, g.x, g.z, g.phase_exp + 2)),
+    )
+    gens = list(draw(st.permutations(group)))
+    for k in draw(st.lists(st.integers(0, length - 1), max_size=3)):
+        gens[k] = draw(variant)
+    return gens
+
+
+@settings(PROPERTY, max_examples=300)
+@given(generator_sets(), st.data())
+def test_gauge_rank_matches_full_reduction(gens, data):
+    length = gens[0].length
+    rows = [(g.x, g.z, g.phase_exp) for g in gens]
+    rank = rank_by_full_reduction(length, rows)
+    t = StabilizerTableau(length, *(list(col) for col in zip(*rows)))
+    if rank == length:
+        assert StabilizerTableau.from_generators(gens) == t
+    else:
+        with pytest.raises(TableauConsistencyError) as err:
+            StabilizerTableau.from_generators(gens)
+        assert str(err.value) == f"generators span rank {rank} < {length}"
+    bits = st.integers(0, 2**length - 1)
+    anywhere = st.builds(PauliString, st.just(length), bits, bits, st.integers(0, 3))
+    spanned = products(st.sampled_from(gens), length)
+    for p in data.draw(st.lists(st.one_of(spanned, anywhere), min_size=1, max_size=4)):
+        expected = rank_by_full_reduction(length, rows + [(p.x, p.z, p.phase_exp)]) == length
+        assert t.contains(p) == expected

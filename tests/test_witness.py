@@ -58,8 +58,9 @@ class TestSiteWitness:
 
     def test_bad_tolerance(self):
         lat = compute_lattice(reference_state("ghz", 4))
-        with pytest.raises(ConfigurationError):
-            witness_nonstabilizerness(lat, tol=0.0)
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                witness_nonstabilizerness(lat, tol=tol)
 
 
 class TestLongRangeWitness:
