@@ -29,7 +29,14 @@ from .errors import (
     NumericalError,
     TableauConsistencyError,
 )
-from .lattice import DEFAULT_GAP_THRESHOLD, InfoLattice, LatticeSummary, analyze, fold
+from .lattice import (
+    DEFAULT_GAP_THRESHOLD,
+    InfoLattice,
+    LatticeSummary,
+    analyze,
+    fold,
+    resolve_threads,
+)
 
 # unused here, but perfbench/selftest.py checks that its tracer rebinds this
 # name-imported function in the cli module too
@@ -213,8 +220,9 @@ def _tol(args: argparse.Namespace) -> float:
 
 
 def cmd_lattice(args) -> int:
+    threads = resolve_threads(args.threads)
     state = load_state(args)
-    lat, summary = analyze(state, args.gap_threshold, with_fold=args.fold, threads=args.threads)
+    lat, summary = analyze(state, args.gap_threshold, with_fold=args.fold, threads=threads)
     tol = _tol(args)
     verdict = witness_long_range(summary, tol, require_origin=args.fold)
     if args.format == "pretty":
@@ -227,8 +235,9 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    threads = resolve_threads(args.threads)
     state = load_state(args)
-    _, summary = analyze(state, args.gap_threshold, with_fold=args.fold, threads=args.threads)
+    _, summary = analyze(state, args.gap_threshold, with_fold=args.fold, threads=threads)
     _emit(_json_text(summary_dict(summary)), args.out)
     return 0
 
@@ -239,9 +248,10 @@ def cmd_fold(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    threads = resolve_threads(args.threads)
     state = load_state(args)
     # origin classification always wants the folded total
-    _, summary = analyze(state, args.gap_threshold, with_fold=True, threads=args.threads)
+    _, summary = analyze(state, args.gap_threshold, with_fold=True, threads=threads)
     verdict = witness_long_range(summary, _tol(args))
     if args.format == "json":
         _emit(_json_text(verdict.to_dict()), args.out)
@@ -335,6 +345,7 @@ def cmd_potts_sweep(args) -> int:
     if not numbers([gap_threshold], float):
         raise ConfigurationError(f"sweep gap_threshold must be finite, got {gap_threshold!r}")
     witness.check_tolerance(tol)
+    resolve_threads()  # the lattices read INFOLATTICE_THREADS
     granularity = setting(args.granularity, "granularity", "qubit")
     out = setting(args.out, "out", None)
     if not isinstance(out, (str, type(None))):  # open() would take an int as a descriptor

@@ -112,11 +112,21 @@ def lattice_from_interval_info(
     return InfoLattice(tuple(log2_dims), tuple(rows))
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("INFOLATTICE_THREADS", "1")))
-    except ValueError:
-        return 1
+def resolve_threads(threads: Optional[int] = None) -> int:
+    """Worker thread count: ``threads`` if given, else ``INFOLATTICE_THREADS``,
+    else 1.  A count below 1 or a non-integer variable raises ConfigurationError.
+    """
+    if threads is None:
+        raw = os.environ.get("INFOLATTICE_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise ConfigurationError(f"INFOLATTICE_THREADS must be a positive integer, got {raw!r}")
+    elif threads < 1:
+        raise ConfigurationError(f"thread count must be at least 1, got {threads}")
+    return threads
 
 
 def _interval_informations(
@@ -129,7 +139,7 @@ def _interval_informations(
     Each entropy comes from the cheaper of the interval and its complement;
     results are deterministic regardless of thread count.
     """
-    threads = _default_threads() if threads is None else max(1, threads)
+    threads = resolve_threads(threads)
 
     def entropy(pair: tuple[int, int]) -> float:
         left, scale = pair

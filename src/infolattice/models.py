@@ -7,7 +7,9 @@ The Potts Hamiltonian on N qutrits (open boundaries) is
 
 with the 3x3 clock matrix Z = diag(1, w, w^2), w = exp(2*pi*i/3), and the
 shift X|k> = |k+1 mod 3>.  It commutes with the charge Q = prod_i X_i; the
-symmetric ground state is the lowest state in the Q = +1 sector.  The qutrit
+symmetric ground state is the lowest state in the Q = +1 sector.  H is real
+symmetric in the computational basis, so the Hamiltonian, the sector solve,
+the ground state and its embedding all stay in float64.  The qutrit
 chain embeds into 2N spins-1/2 by mapping each qutrit onto the triplet of a
 neighboring pair: |0> -> |00>, |1> -> (|01>+|10>)/sqrt(2), |2> -> |11>.
 """
@@ -47,7 +49,6 @@ TRIPLET_ISOMETRY = np.array(
         [0.0, 1.0 / np.sqrt(2.0), 0.0],
         [0.0, 0.0, 1.0],
     ],
-    dtype=complex,
 )
 
 
@@ -223,24 +224,27 @@ def _shifted(n: int, sites: Sequence[int], step: int = 1) -> np.ndarray:
 
 
 def potts_hamiltonian(spec: PottsSpec) -> sp.csr_matrix:
-    """Sparse Hermitian Hamiltonian on the full 3^N space, open boundaries.
+    """Sparse real symmetric (float64) Hamiltonian on the full 3^N space,
+    open boundaries.
 
     The clock terms are diagonal; X_i and Xd_i are the basis permutations
-    that shift digit i by one and by two.
+    that shift digit i by one and by two.  Each bond term
+    ``conj(z_i) z_j + z_i conj(z_j)`` has an imaginary part that cancels
+    exactly, so keeping its real part loses nothing.
     """
     import scipy.sparse as sp  # scipy loads only for a Potts solve
 
     n = spec.qutrits
     dim = 3**n
     z = np.diag(CLOCK_Z)[_digits(n)]
-    diag = np.zeros(dim, dtype=complex)
+    diag = np.zeros(dim)
     for i in range(n - 1):
-        bond = z[:, i].conj() * z[:, i + 1] + z[:, i] * z[:, i + 1].conj()
+        bond = (z[:, i].conj() * z[:, i + 1] + z[:, i] * z[:, i + 1].conj()).real
         diag = diag - (spec.coupling / 3.0) * bond
     shifts = [_shifted(n, [i], step) for i in range(n) for step in (1, 2)]
     rows = np.concatenate([np.arange(dim), *shifts])
     cols = np.tile(np.arange(dim), 2 * n + 1)
-    data = np.concatenate([diag, np.full(2 * n * dim, -spec.field, dtype=complex)])
+    data = np.concatenate([diag, np.full(2 * n * dim, -float(spec.field))])
     h = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
     h.eliminate_zeros()  # a zero coupling or field adds no stored entries
     return h
@@ -280,10 +284,12 @@ GROUND_STATE_RESIDUAL_TOL = 1e-9
 def symmetric_ground_state(spec: PottsSpec) -> tuple[PureState, float]:
     """Lowest eigenvector of H in the charge-0 sector, with its energy.
 
-    Takes the lowest eigenpair of the sector-projected Hamiltonian (dense
-    below ~1000 states, Lanczos above), lifts back to the full space, fixes
-    the global phase, and verifies the eigen-residual and the sector
-    membership.  Lanczos non-convergence raises NumericalError.
+    Takes the lowest eigenpair of the real symmetric sector-projected
+    Hamiltonian (dense ``eigh`` for N <= 6, i.e. at most 243 sector states;
+    Lanczos ``eigsh`` above), lifts it back to the full space, fixes the sign
+    so that the largest amplitude is positive, and verifies the eigen-residual
+    and the sector membership.  The returned state is real (float64).
+    Lanczos non-convergence raises NumericalError.
     """
     import scipy.linalg as sla
     import scipy.sparse.linalg as spla
@@ -306,8 +312,7 @@ def symmetric_ground_state(spec: PottsSpec) -> tuple[PureState, float]:
     v_sym = vectors[:, 0]
     v = p @ v_sym
     v = v / np.linalg.norm(v)
-    k = int(np.argmax(np.abs(v)))
-    v = v * (abs(v[k]) / v[k])
+    v = v * np.sign(v[int(np.argmax(np.abs(v)))])
     residual = float(np.linalg.norm(h @ v - energy * v))
     if residual > GROUND_STATE_RESIDUAL_TOL:
         raise NumericalError(f"eigen-residual {residual} above {GROUND_STATE_RESIDUAL_TOL}")

@@ -24,12 +24,18 @@ MAX_RDM_SIDE = 4096
 
 
 class PureState:
-    """Normalized dense state vector over a chain with per-site dimensions."""
+    """Normalized dense state vector over a chain with per-site dimensions.
+
+    Real amplitudes are stored as float64 and complex ones as complex128, so
+    a real state (such as a Potts ground state) stays in real arithmetic
+    until a gate acts on it (gate matrices are complex).
+    """
 
     __slots__ = ("dims", "amps")
 
     def __init__(self, amps: Sequence[complex], dims: Sequence[int], *, normalize: bool = False):
-        amps = np.asarray(amps, dtype=complex).ravel()
+        amps = np.asarray(amps).ravel()
+        amps = amps.astype(np.complex128 if np.iscomplexobj(amps) else np.float64, copy=False)
         dims = tuple(int(d) for d in dims)
         if any(d < 2 for d in dims):
             raise ValueError(f"local dimensions must be >= 2, got {dims}")

@@ -450,6 +450,33 @@ class TestCLI:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
+        "argv,env",
+        [
+            (["lattice", "--state", "neel", "--L", "4", "--threads", "0"], None),
+            (["lattice", "--state", "neel", "--L", "4", "--threads", "-3"], None),
+            (["lattice", "--state", "neel", "--L", "4"], "abc"),
+            (["lattice", "--state", "neel", "--L", "4"], "-2"),
+            (["summarize", "--state", "ghz", "--L", "4", "--threads", "0"], None),
+            (["witness", "--potts", "N=3,h=0.2"], "1.5"),
+            (["potts-sweep", "--sizes", "8", "--h", "0.1"], "two"),
+        ],
+    )
+    def test_bad_thread_count_exits_config(self, tmp_path, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("INFOLATTICE_THREADS", env)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(models, "symmetric_ground_state", unreachable)
+        out = tmp_path / "out"
+        assert self.run(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "thread" in captured.err.lower() and "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags,config",
         [
             ([], {"sizes": 8, "h": [0.1]}),

@@ -121,6 +121,12 @@ class TestPottsHamiltonian:
         h = potts_hamiltonian(PottsSpec(3, 1.0, 0.4))
         assert (abs(h - h.conj().T) > 1e-12).nnz == 0
 
+    @pytest.mark.parametrize("field", [0.0, 0.3, 2])
+    def test_real_symmetric(self, field):
+        h = potts_hamiltonian(PottsSpec(3, 1.0, field))
+        assert h.dtype == np.float64
+        assert (h != h.T).nnz == 0
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("j,field", [(1.0, 0.0), (1.0, 0.3), (0.7, 0.55), (0.0, 0.4)])
     def test_matches_dense_formula(self, n, j, field):
@@ -195,6 +201,28 @@ class TestSymmetricSector:
             v_full = p @ vectors[:, 0]
             assert abs(energy - energies[0]) <= 1e-12
             assert abs(abs(np.vdot(v_full, gs.amps)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("field", [0.0, 0.3, 0.8])
+    def test_lanczos_path_matches_dense_eigh(self, field):
+        # N = 7 is the smallest chain solved with eigsh (729 sector states)
+        import scipy.linalg as sla
+
+        n = 7
+        spec = PottsSpec(n, 1.0, field)
+        gs, energy = symmetric_ground_state(spec)
+        assert gs.amps.dtype == np.float64
+        assert gs.amps[np.argmax(np.abs(gs.amps))] > 0
+        h = potts_hamiltonian(spec)
+        p = symmetric_sector_isometry(n)
+        energies = sla.eigh((p.T @ h @ p).toarray(), eigvals_only=True, subset_by_index=[0, 0])
+        assert abs(energy - energies[0]) <= 1e-10
+        assert np.linalg.norm(h @ gs.amps - energy * gs.amps) < 1e-9
+        assert np.linalg.norm(charge_operator(n) @ gs.amps - gs.amps) < 1e-9
+
+    def test_ground_state_is_real(self):
+        gs, _ = symmetric_ground_state(PottsSpec(4, 1.0, 0.3))
+        assert gs.amps.dtype == np.float64
+        assert embed_qutrit_to_spins(gs).amps.dtype == np.float64
 
 
 class TestEmbedding:

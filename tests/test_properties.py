@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from infolattice import _kernels, compute_lattice, fold, gamma_folded, interleave, summarize
+from infolattice import (
+    _kernels,
+    analyze,
+    compute_lattice,
+    fold,
+    gamma_folded,
+    interleave,
+    summarize,
+)
 from infolattice.errors import TableauConsistencyError
 from infolattice.lattice import lattice_from_interval_info
+from infolattice.models import embed_qutrit_to_spins, potts_point_spec, symmetric_ground_state
 from infolattice.pauli import PauliString, SupportInterval, default_column_order
 from infolattice.states import PureState, haar_random_state
 from infolattice.tableau import (
@@ -82,6 +91,33 @@ def assert_telescoped_gamma_folded(state):
 @given(states(min_sites=2, max_sites=9))
 def test_gamma_folded_matches_full_folded_lattice(state):
     assert_telescoped_gamma_folded(state)
+
+
+def assert_real_and_complex_storage_agree(real):
+    """The lattice, gamma and gamma_folded of a real state equal those of the
+    same amplitudes stored as complex, within 1e-12."""
+    cplx = PureState(real.amps.astype(complex), real.dims)
+    assert real.amps.dtype == np.float64 and cplx.amps.dtype == np.complex128
+    lat_r, sum_r = analyze(real)
+    lat_c, sum_c = analyze(cplx)
+    for row_r, row_c in zip(lat_r.rows, lat_c.rows):
+        assert np.max(np.abs(row_r - row_c)) <= 1e-12
+    assert abs(sum_r.gamma - sum_c.gamma) <= 1e-12
+    assert abs(sum_r.gamma_folded - sum_c.gamma_folded) <= 1e-12
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=8), seeds)
+def test_real_and_complex_storage_agree(dims, seed):
+    v = np.random.default_rng(seed).normal(size=math.prod(dims))
+    assert_real_and_complex_storage_agree(PureState(v, dims, normalize=True))
+
+
+@pytest.mark.parametrize("length", [8, 12])
+@pytest.mark.parametrize("field", [0.0, 0.3, 0.8])
+def test_real_and_complex_storage_agree_on_potts_points(length, field):
+    gs, _ = symmetric_ground_state(potts_point_spec(length, field))
+    assert_real_and_complex_storage_agree(embed_qutrit_to_spins(gs))
 
 
 @pytest.mark.parametrize("length", range(2, 10))

@@ -52,6 +52,32 @@ class TestConstruction:
             _ = s.local_dim
 
 
+class TestAmplitudeDtype:
+    @pytest.mark.parametrize(
+        "amps,dtype",
+        [
+            ([1.0, 0.0], np.float64),
+            ([1, 0], np.float64),
+            ([True, False], np.float64),
+            (np.array([1, 0], dtype=np.float32), np.float64),
+            (np.array([1, 0], dtype=np.complex64), np.complex128),
+            ([1j, 0], np.complex128),
+            (np.array([1.0, 0.0], dtype=complex), np.complex128),
+        ],
+    )
+    def test_real_input_stays_real(self, amps, dtype):
+        assert PureState(amps, (2,)).amps.dtype == dtype
+
+    def test_complex_gate_promotes_a_real_state(self):
+        plus = PureState([SQ2, SQ2], (2,))
+        t = np.diag([1.0, np.exp(1j * np.pi / 4)])
+        out = plus.apply_unitary(t, 0)
+        assert plus.amps.dtype == np.float64 and out.amps.dtype == np.complex128
+        np.testing.assert_array_equal(
+            out.amps, PureState(plus.amps.astype(complex), (2,)).apply_unitary(t, 0).amps
+        )
+
+
 class TestApplyUnitary:
     def test_t_gate_fixed_point(self):
         s = PureState.from_label("0")
