@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -75,8 +76,10 @@ class InfoLattice:
     def max_integer_deviation(self) -> tuple[float, Optional[tuple[float, int]]]:
         """Largest distance of any site value from its nearest integer.
 
-        Returns the first maximum in (scale, left) order and its ``(n, l)``,
-        or ``(0.0, None)`` when every site is an exact integer; a non-finite
+        Returns it with the ``(n, l)`` of the first site, in (scale, left)
+        order, whose distance lies within ``CLAMP_EPS`` of it, so sites tied up
+        to rounding (mirror sites, say) report the same one every time; or
+        ``(0.0, None)`` when every site is an exact integer.  A non-finite
         site raises NumericalError.
         """
         v = np.concatenate([np.zeros(0), *self.rows])
@@ -85,11 +88,9 @@ class InfoLattice:
         dev = np.abs(v - np.round(v))
         if not dev.any():
             return 0.0, None
-        k = int(np.argmax(dev))
-        ends = np.cumsum([len(row) for row in self.rows])
-        scale = int(np.searchsorted(ends, k, side="right"))
-        left = k - int(ends[scale]) + len(self.rows[scale])
-        return float(dev[k]), (left + scale / 2, scale)
+        top = float(dev.max())
+        n, scale, _ = next(islice(self.sites(), int(np.argmax(dev >= top - CLAMP_EPS)), None))
+        return top, (n, scale)
 
     def to_records(self) -> list[dict]:
         return [{"n": n, "l": scale, "i": v} for n, scale, v in self.sites()]

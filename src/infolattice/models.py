@@ -209,6 +209,10 @@ class PottsSpec:
         for name, v in (("coupling", self.coupling), ("field", self.field)):
             if not math.isfinite(v) or v < 0:
                 raise ConfigurationError(f"{name} must be finite and nonnegative")
+        if self.coupling == 0 and self.field == 0:
+            raise ConfigurationError(
+                "coupling and field are both zero: every state is a ground state"
+            )
 
 
 def _digits(n: int) -> np.ndarray:
@@ -284,33 +288,28 @@ GROUND_STATE_RESIDUAL_TOL = 1e-9
 def symmetric_ground_state(spec: PottsSpec) -> tuple[PureState, float]:
     """Lowest eigenvector of H in the charge-0 sector, with its energy.
 
-    Takes the lowest eigenpair of the real symmetric sector-projected
-    Hamiltonian (dense ``eigh`` for N <= 6, i.e. at most 243 sector states;
-    Lanczos ``eigsh`` above), lifts it back to the full space, fixes the sign
-    so that the largest amplitude is positive, and verifies the eigen-residual
-    and the sector membership.  The returned state is real (float64).
-    Lanczos non-convergence raises NumericalError.
+    One Lanczos solve (``eigsh``) of the real symmetric sector matrix from the
+    uniform start vector, which overlaps the ground state: for J, h >= 0 the
+    only off-diagonal entries of H are the field's ``-h`` shifts and the
+    sector isometry is non-negative with disjoint column supports, so the
+    sector matrix has no positive off-diagonal entry and, by Perron-Frobenius,
+    a non-negative ground state.  The vector is lifted to the full space,
+    signed so that its largest amplitude is positive, and checked for its
+    eigen-residual and sector membership; it is real (float64).  Any ARPACK
+    failure raises NumericalError.
     """
-    import scipy.linalg as sla
     import scipy.sparse.linalg as spla
 
     n = spec.qutrits
     h = potts_hamiltonian(spec)
     p = symmetric_sector_isometry(n)
-    h_sym = p.conj().T @ h @ p
-    if n <= 6:
-        dense = h_sym.toarray()
-        if np.max(np.abs(dense - dense.conj().T)) > 1e-12:
-            raise NumericalError("projected Hamiltonian lost hermiticity")
-        energies, vectors = sla.eigh(dense, subset_by_index=[0, 0])
-    else:
-        try:
-            energies, vectors = spla.eigsh(h_sym.tocsc(), k=1, which="SA", tol=0)
-        except spla.ArpackNoConvergence as exc:
-            raise NumericalError(str(exc)) from exc
+    h_sym = p.T @ h @ p
+    try:
+        energies, vectors = spla.eigsh(h_sym, k=1, which="SA", tol=0, v0=np.ones(3 ** (n - 1)))
+    except spla.ArpackError as exc:
+        raise NumericalError(str(exc)) from exc
     energy = float(energies[0])
-    v_sym = vectors[:, 0]
-    v = p @ v_sym
+    v = p @ vectors[:, 0]
     v = v / np.linalg.norm(v)
     v = v * np.sign(v[int(np.argmax(np.abs(v)))])
     residual = float(np.linalg.norm(h @ v - energy * v))

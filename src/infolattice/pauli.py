@@ -146,9 +146,6 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        return commutes(self, other)
-
 
 def _check_lengths(a: PauliString, b: PauliString) -> None:
     if a.length != b.length:

@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels, cliffords, gates
 from .errors import DimensionMismatchError, MemoryCapError, TableauConsistencyError
 from .lattice import InfoLattice
-from .pauli import PauliString, SupportInterval
+from .pauli import PauliString, SupportInterval, commutes
 from .states import PureState, apply_pauli
 
 
@@ -68,7 +68,7 @@ class StabilizerTableau:
                 raise TableauConsistencyError(f"non-Hermitian generator {g}")
         for i, a in enumerate(gens):
             for b in gens[i + 1 :]:
-                if not a.commutes_with(b):
+                if not commutes(a, b):
                     raise TableauConsistencyError(
                         f"generators {a} and {b} anticommute"
                     )

@@ -1,0 +1,117 @@
+"""Byte-identical output: a fixed invocation set, run in two fresh processes,
+prints the same bytes whatever the thread count.
+
+One process runs with ``INFOLATTICE_THREADS=1`` and the other with
+``INFOLATTICE_THREADS=2``; the set covers every subcommand, Potts ground
+states at N = 7 and N = 8 (h = 0 included, where the sector matrix is
+diagonal), and ``--threads 1`` against ``--threads 2``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import infolattice
+from infolattice.models import TDopedCircuitSpec, t_doped_state
+from infolattice.states import save_amplitudes
+
+SRC = str(Path(infolattice.__file__).resolve().parents[1])
+
+# runs each argv list of the JSON in sys.argv[1] through the CLI in this one
+# process and prints [exit code, stdout, stderr] per invocation as JSON
+DRIVER = """
+import contextlib, io, json, sys
+from infolattice.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+# analysis commands that take --threads; each runs once per thread count
+THREADED = [
+    ["lattice", "--potts", "N=7,h=0.5"],
+    ["summarize", "--circuit", "{tdoped}", "--seed", "3", "--fold"],
+    ["witness", "--amplitudes", "{amps}", "--json"],
+]
+
+INVOCATIONS = [
+    ["lattice", "--state", "ghz", "--L", "6", "--format", "pretty"],
+    ["lattice", "--circuit", "{clifford}", "--fold"],
+    ["summarize", "--state", "neel", "--L", "5"],
+    ["fold", "--state", "ghz", "--L", "6", "--format", "json"],
+    ["fold", "--potts", "N=3,h=0.4"],
+    ["witness", "--potts", "N=7,h=0.3", "--json"],
+    ["witness", "--potts", "N=8,h=0.3", "--json"],
+    ["witness", "--circuit", "{magic}"],
+    ["mlgs", "--circuit", "{ghz}", "--json"],
+    ["mlgs", "--circuit", "{clifford}"],
+    ["circuit-run", "--circuit", "{magic}"],
+    ["circuit-run", "--circuit", "{generators}", "--format", "json"],
+    ["potts-sweep", "--sizes", "6,14", "--h", "0,0.3,0.5", "--format", "json"],
+    *([*argv, "--threads", t] for argv in THREADED for t in ("1", "2")),
+]
+
+
+def write_sources(tmp_path: Path) -> dict[str, str]:
+    files = {
+        "ghz": ("ghz.qc", "H 0\nCNOT 0 1\nCNOT 1 2\nCNOT 2 3\n"),
+        "magic": ("magic.qc", "H 0\nT 0\nCNOT 0 1\nH 2\nCNOT 2 3\nT 3\n"),
+        "generators": ("gens.txt", "+XXXX\n+ZZII\n-IZZI\n+IIZZ\n"),
+        "clifford": ("clifford.json", json.dumps({"type": "random_clifford", "L": 10, "seed": 4})),
+        "tdoped": (
+            "tdoped.json",
+            json.dumps({"type": "t_doped", "L": 8, "blocks": 1, "entangling_layers": 1}),
+        ),
+    }
+    paths = {}
+    for key, (name, text) in files.items():
+        (tmp_path / name).write_text(text)
+        paths[key] = str(tmp_path / name)
+    paths["amps"] = str(tmp_path / "amps.txt")
+    spec = TDopedCircuitSpec(8, blocks=1, clifford_layers_per_block=4, seed=5, entangling_layers=1)
+    save_amplitudes(t_doped_state(spec), paths["amps"])
+    return paths
+
+
+# the two processes run side by side; BLAS on one thread each keeps them from
+# oversubscribing the cores
+ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+
+SUBCOMMANDS = {"lattice", "summarize", "fold", "witness", "mlgs", "circuit-run", "potts-sweep"}
+
+
+def test_fresh_processes_print_identical_bytes(tmp_path):
+    assert {argv[0] for argv in INVOCATIONS} == SUBCOMMANDS
+    paths = write_sources(tmp_path)
+    argvs = [[a.format(**paths) for a in argv] for argv in INVOCATIONS]
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", DRIVER, json.dumps(argvs)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": pythonpath,
+                 "INFOLATTICE_THREADS": threads},
+        )
+        for threads in ("1", "2")
+    ]
+    runs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err.decode()
+        runs.append(json.loads(out))
+    for argv, one, two in zip(INVOCATIONS, *runs, strict=True):
+        assert one[0] == 0 and one[1], (argv, one)
+        assert one == two, f"{argv} printed different bytes in the two processes"
+    by_argv = {json.dumps(argv): result for argv, result in zip(INVOCATIONS, runs[0])}
+    for argv in THREADED:
+        once, twice = (by_argv[json.dumps([*argv, "--threads", t])] for t in ("1", "2"))
+        assert once == twice, f"{argv} depends on --threads"
+

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import jsonschema
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import infolattice
 from infolattice import circuits, gates, load_amplitudes, models
@@ -564,6 +564,13 @@ class TestCLI:
                 ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((0, 0))),
                 ["witness", "--potts", "N=7,h=0.3"],
             ),
+            (
+                "scipy.sparse.linalg.eigsh",
+                ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((0, 0))),
+                ["witness", "--potts", "N=4,h=0.3"],
+            ),
+            # any other ARPACK failure, e.g. a start vector it rejects
+            ("scipy.sparse.linalg.eigsh", ArpackError(-9), ["witness", "--potts", "N=4,h=0.3"]),
         ],
     )
     def test_solver_failure_numerical_exit(self, monkeypatch, capsys, target, exc, argv):
@@ -572,7 +579,27 @@ class TestCLI:
 
         monkeypatch.setattr(target, fail)
         assert self.run(*argv) == 3
-        assert capsys.readouterr().err.startswith("numerical failure:")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["witness", "--potts", "N=3,h=0,J=0"],
+            ["lattice", "--potts", "N=7,J=0"],
+            ["potts-sweep", "--sizes", "8", "--h", "0.2,0", "--J", "0"],
+        ],
+    )
+    def test_zero_hamiltonian_exits_config(self, monkeypatch, capsys, argv):
+        # every state is a ground state of H = 0, so none is solved for
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", unreachable)
+        assert self.run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: coupling and field")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
         "target,argv",

@@ -293,16 +293,14 @@ def test_second_differences_match_double_loop():
 
 
 def max_integer_deviation_by_loop(lat):
-    """Loop oracle for ``InfoLattice.max_integer_deviation``: the first
-    maximum in (scale, left) order, ``None`` when every site is an integer."""
-    best = 0.0
-    where = None
-    for n, scale, v in lat.sites():
-        dev = abs(v - round(v))
-        if dev > best:
-            best = dev
-            where = (n, scale)
-    return best, where
+    """Loop oracle for ``InfoLattice.max_integer_deviation``: the maximum and
+    the first site in (scale, left) order within ``CLAMP_EPS`` of it, ``None``
+    when every site is an integer."""
+    devs = [((n, scale), abs(v - round(v))) for n, scale, v in lat.sites()]
+    best = max((d for _, d in devs), default=0.0)
+    if best == 0.0:
+        return 0.0, None
+    return best, next(where for where, d in devs if d >= best - CLAMP_EPS)
 
 
 def random_lattice(rng, L, integer=False):
@@ -338,6 +336,30 @@ def test_max_integer_deviation_planted_ties():
         first = sites[int(min(picks))]
         assert lat.max_integer_deviation() == (0.375, (first[1] + first[0] / 2, first[0]))
         assert lat.max_integer_deviation() == max_integer_deviation_by_loop(lat)
+
+
+def test_max_integer_deviation_near_ties_report_first_site():
+    # mirror sites whose deviations differ only by rounding: the first one is
+    # reported whichever carries the larger value
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        L = int(rng.integers(2, 20))
+        lat = random_lattice(rng, L, integer=True)
+        sites = [(scale, left) for scale in range(L) for left in range(L - scale)]
+        a, b = sorted(rng.choice(len(sites), size=2, replace=False).tolist())
+        noise = rng.uniform(-0.9, 0.9) * CLAMP_EPS
+        for k, dev in ((a, 0.25), (b, 0.25 + noise)):
+            scale, left = sites[k]
+            lat.rows[scale][left] += dev
+        scale, left = sites[a]
+        got = lat.max_integer_deviation()
+        assert got[1] == (left + scale / 2, scale)
+        assert got == max_integer_deviation_by_loop(lat)
+
+
+def test_max_integer_deviation_below_clamp_reports_first_site():
+    lat = InfoLattice((1.0,) * 3, (np.array([1.0, 1.0, 2e-13]), np.zeros(2), np.zeros(1)))
+    assert lat.max_integer_deviation() == (2e-13, (0.0, 0))
 
 
 def test_max_integer_deviation_rejects_non_finite_sites():
