@@ -35,7 +35,6 @@ from .lattice import (
     LatticeSummary,
     analyze,
     fold,
-    resolve_threads,
 )
 
 # unused here, but perfbench/selftest.py checks that its tracer rebinds this
@@ -220,9 +219,8 @@ def _tol(args: argparse.Namespace) -> float:
 
 
 def cmd_lattice(args) -> int:
-    threads = resolve_threads(args.threads)
     state = load_state(args)
-    lat, summary = analyze(state, args.gap_threshold, with_fold=args.fold, threads=threads)
+    lat, summary = analyze(state, args.gap_threshold, with_fold=args.fold)
     tol = _tol(args)
     verdict = witness_long_range(summary, tol, require_origin=args.fold)
     if args.format == "pretty":
@@ -235,9 +233,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_summarize(args) -> int:
-    threads = resolve_threads(args.threads)
     state = load_state(args)
-    _, summary = analyze(state, args.gap_threshold, with_fold=args.fold, threads=threads)
+    _, summary = analyze(state, args.gap_threshold, with_fold=args.fold)
     _emit(_json_text(summary_dict(summary)), args.out)
     return 0
 
@@ -248,10 +245,9 @@ def cmd_fold(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    threads = resolve_threads(args.threads)
     state = load_state(args)
     # origin classification always wants the folded total
-    _, summary = analyze(state, args.gap_threshold, with_fold=True, threads=threads)
+    _, summary = analyze(state, args.gap_threshold, with_fold=True)
     verdict = witness_long_range(summary, _tol(args))
     if args.format == "json":
         _emit(_json_text(verdict.to_dict()), args.out)
@@ -345,7 +341,6 @@ def cmd_potts_sweep(args) -> int:
     if not numbers([gap_threshold], float):
         raise ConfigurationError(f"sweep gap_threshold must be finite, got {gap_threshold!r}")
     witness.check_tolerance(tol)
-    resolve_threads()  # the lattices read INFOLATTICE_THREADS
     granularity = setting(args.granularity, "granularity", "qubit")
     out = setting(args.out, "out", None)
     if not isinstance(out, (str, type(None))):  # open() would take an int as a descriptor
@@ -432,7 +427,6 @@ def _add_analysis_args(
     )
     if fold:
         p.add_argument("--fold", action="store_true", help="also compute gamma_folded")
-    p.add_argument("--threads", type=int, default=None, help="lattice worker threads")
 
 
 def build_parser() -> argparse.ArgumentParser:

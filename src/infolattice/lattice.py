@@ -10,8 +10,6 @@ contributing zero information.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterator, Optional, Sequence
@@ -113,53 +111,22 @@ def lattice_from_interval_info(
     return InfoLattice(tuple(log2_dims), tuple(rows))
 
 
-def resolve_threads(threads: Optional[int] = None) -> int:
-    """Worker thread count: ``threads`` if given, else ``INFOLATTICE_THREADS``,
-    else 1.  A count below 1 or a non-integer variable raises ConfigurationError.
-    """
-    if threads is None:
-        raw = os.environ.get("INFOLATTICE_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 0
-        if threads < 1:
-            raise ConfigurationError(f"INFOLATTICE_THREADS must be a positive integer, got {raw!r}")
-    elif threads < 1:
-        raise ConfigurationError(f"thread count must be at least 1, got {threads}")
-    return threads
-
-
 def _interval_informations(
-    state: PureState,
-    intervals: Sequence[tuple[int, int]],
-    threads: Optional[int],
+    state: PureState, intervals: Sequence[tuple[int, int]]
 ) -> list[float]:
     """Information ``sum log2 d - S`` of each ``(left, scale)`` interval, in order.
 
-    Each entropy comes from the cheaper of the interval and its complement;
-    results are deterministic regardless of thread count.
+    Each entropy comes from the cheaper of the interval and its complement.
     """
-    threads = resolve_threads(threads)
-
-    def entropy(pair: tuple[int, int]) -> float:
-        left, scale = pair
-        return state.entropy_of_interval(SupportInterval(left, left + scale))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            entropies = list(pool.map(entropy, intervals))
-    else:
-        entropies = [entropy(p) for p in intervals]
-
     prefix = np.concatenate([[0.0], np.cumsum(state.log2_dims)])
     return [
-        float(prefix[left + scale + 1] - prefix[left]) - s_val
-        for (left, scale), s_val in zip(intervals, entropies)
+        float(prefix[left + scale + 1] - prefix[left])
+        - state.entropy_of_interval(SupportInterval(left, left + scale))
+        for left, scale in intervals
     ]
 
 
-def compute_lattice(state: PureState, *, threads: Optional[int] = None) -> InfoLattice:
+def compute_lattice(state: PureState) -> InfoLattice:
     """Entropy-based information lattice of a pure state.
 
     Every contiguous interval's von Neumann entropy is computed once and
@@ -167,7 +134,7 @@ def compute_lattice(state: PureState, *, threads: Optional[int] = None) -> InfoL
     """
     L = state.num_sites
     intervals = [(left, scale) for scale in range(L) for left in range(L - scale)]
-    flat = iter(_interval_informations(state, intervals, threads))
+    flat = iter(_interval_informations(state, intervals))
     info = [[next(flat) for _ in range(L - scale)] for scale in range(L)]
     return lattice_from_interval_info(state.log2_dims, info)
 
@@ -306,12 +273,7 @@ def interleave(state: PureState) -> PureState:
     )
 
 
-def gamma_folded(
-    state: PureState,
-    *,
-    granularity: str = "site",
-    threads: Optional[int] = None,
-) -> float:
+def gamma_folded(state: PureState, *, granularity: str = "site") -> float:
     """Large-scale information after the fold-in-half locality change.
 
     ``granularity="site"`` (default) evaluates the pair-interleaved chain at
@@ -344,7 +306,7 @@ def gamma_folded(
     cut = L // 2
     upper = [(left, cut - 1) for left in range(L - cut + 1)] if cut >= 1 else []
     lower = [(left, cut - 2) for left in range(1, L - cut + 1)] if cut >= 2 else []
-    info = _interval_informations(chain, upper + lower, threads)
+    info = _interval_informations(chain, upper + lower)
     a_upper, inner_lower = info[: len(upper)], info[len(upper) :]
     return math.fsum([*chain.log2_dims, *(-v for v in a_upper), *inner_lower])
 
@@ -354,15 +316,14 @@ def analyze(
     gap_threshold: float = DEFAULT_GAP_THRESHOLD,
     *,
     with_fold: bool = True,
-    threads: Optional[int] = None,
 ) -> tuple[InfoLattice, LatticeSummary]:
     """Lattice plus summary, optionally with the folded large-scale total.
 
     The fold needs at least two sites; ``with_fold`` on a one-site state
     raises ValueError from :func:`gamma_folded`.
     """
-    lat = compute_lattice(state, threads=threads)
+    lat = compute_lattice(state)
     summary = summarize(lat, gap_threshold)
     if with_fold:
-        summary = summary.with_folded(gamma_folded(state, threads=threads))
+        summary = summary.with_folded(gamma_folded(state))
     return lat, summary

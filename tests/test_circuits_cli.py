@@ -450,33 +450,6 @@ class TestCLI:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
-        "argv,env",
-        [
-            (["lattice", "--state", "neel", "--L", "4", "--threads", "0"], None),
-            (["lattice", "--state", "neel", "--L", "4", "--threads", "-3"], None),
-            (["lattice", "--state", "neel", "--L", "4"], "abc"),
-            (["lattice", "--state", "neel", "--L", "4"], "-2"),
-            (["summarize", "--state", "ghz", "--L", "4", "--threads", "0"], None),
-            (["witness", "--potts", "N=3,h=0.2"], "1.5"),
-            (["potts-sweep", "--sizes", "8", "--h", "0.1"], "two"),
-        ],
-    )
-    def test_bad_thread_count_exits_config(self, tmp_path, capsys, monkeypatch, argv, env):
-        if env is not None:
-            monkeypatch.setenv("INFOLATTICE_THREADS", env)
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a point was solved")
-
-        monkeypatch.setattr(models, "symmetric_ground_state", unreachable)
-        out = tmp_path / "out"
-        assert self.run(*argv, "--out", str(out)) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:")
-        assert "thread" in captured.err.lower() and "Traceback" not in captured.err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
         "flags,config",
         [
             ([], {"sizes": 8, "h": [0.1]}),
@@ -617,9 +590,12 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "Traceback" not in err
 
-    # flags that subcommands used to parse without reading; the base
-    # invocations are valid, so only the flag can make them fail
+    # flags that subcommands used to parse without reading, and the deleted
+    # --threads; the base invocations are valid, so only the flag can make
+    # them fail
     DELETED_FLAGS = [
+        ("lattice", ["--threads", "2"]),
+        ("summarize", ["--threads", "2"]),
         ("summarize", ["--format", "json"]),
         ("summarize", ["--tol", "1e-3"]),
         ("fold", ["--tol", "1e-3"]),
@@ -627,6 +603,7 @@ class TestCLI:
         ("fold", ["--fold"]),
         ("fold", ["--threads", "2"]),
         ("witness", ["--fold"]),
+        ("witness", ["--threads", "2"]),
         ("mlgs", ["--tol", "1e-3"]),
         ("mlgs", ["--gap-threshold", "0.1"]),
         ("mlgs", ["--fold"]),

@@ -235,13 +235,6 @@ class TestInvariants:
             mirrored = compute_lattice(s.mirror())
             assert mirrored.allclose(lat.mirrored(), atol=1e-8)
 
-    def test_threads_deterministic(self):
-        s = haar_random_state((2,) * 8, np.random.default_rng(21))
-        a = compute_lattice(s, threads=1)
-        b = compute_lattice(s, threads=4)
-        for ra, rb in zip(a.rows, b.rows):
-            np.testing.assert_array_equal(ra, rb)
-
     def test_value_accessor(self):
         lat = compute_lattice(reference_state("ghz", 4))
         assert lat.value(1.5, 3) == pytest.approx(1.0, abs=1e-10)
