@@ -5,7 +5,8 @@ tensor factor, i.e. the basis label reads left to right like the ket.
 Chains may mix local dimensions (needed after folding); most constructors
 produce uniform-dimension chains.  Density matrices are plain Hermitized
 arrays, checked for finiteness, unit trace and Hermiticity when built; no
-side of one may exceed ``MAX_RDM_SIDE`` (MemoryCapError above it).
+side of one may exceed ``MAX_RDM_SIDE`` (MemoryCapError above it).  A real
+state gets them from one BLAS Gram product, a complex one from ``einsum``.
 """
 
 from __future__ import annotations
@@ -174,7 +175,11 @@ class PureState:
                 f"RDM side {m} exceeds cap {MAX_RDM_SIDE} for interval {interval}"
             )
         t = self.amps.reshape(a, m, c)
-        rho = np.einsum("amc,anc->mn", t, t.conj())
+        if t.dtype == np.float64:
+            g = t.transpose(1, 0, 2).reshape(m, a * c)
+            rho = g @ g.T
+        else:
+            rho = np.einsum("amc,anc->mn", t, t.conj())
         rho = 0.5 * (rho + rho.conj().T)
         _check_density(rho, "RDM")
         return rho
@@ -187,7 +192,11 @@ class PureState:
                 f"complement side {a * c} exceeds cap {MAX_RDM_SIDE} for interval {interval}"
             )
         t = self.amps.reshape(a, m, c)
-        rho = np.einsum("amc,bmd->acbd", t, t.conj()).reshape(a * c, a * c)
+        if t.dtype == np.float64:
+            g = t.transpose(0, 2, 1).reshape(a * c, m)
+            rho = g @ g.T
+        else:
+            rho = np.einsum("amc,bmd->acbd", t, t.conj()).reshape(a * c, a * c)
         rho = 0.5 * (rho + rho.conj().T)
         _check_density(rho, "complement density matrix")
         return rho

@@ -3,8 +3,9 @@ prints the same bytes.
 
 The processes differ in ``PYTHONHASHSEED`` (``1`` and ``12345``), so output
 that depends on set or dict iteration order shows up as a difference; the
-set covers every subcommand and Potts ground states at N = 7 and N = 8
-(h = 0 included, where the sector matrix is diagonal).
+set covers every subcommand and Potts ground states at N = 7, 8 and 9
+(h = 0 included, where the sector matrix is diagonal).  The N = 9 lattice
+takes reduced density matrices of side up to 512 from a blocked BLAS product.
 """
 
 import json
@@ -49,6 +50,7 @@ INVOCATIONS = [
     ["circuit-run", "--circuit", "{generators}", "--format", "json"],
     ["potts-sweep", "--sizes", "6,14", "--h", "0,0.3,0.5", "--format", "json"],
     ["lattice", "--potts", "N=7,h=0.5"],
+    ["lattice", "--potts", "N=9,h=0.5"],
     ["summarize", "--circuit", "{tdoped}", "--seed", "3", "--fold"],
     ["witness", "--amplitudes", "{amps}", "--json"],
 ]

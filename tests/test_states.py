@@ -1,5 +1,6 @@
 """Dense engine: gates, reductions, entropies, import/export."""
 
+import math
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from infolattice.errors import (
     MemoryCapError,
     NumericalError,
 )
+from infolattice.lattice import fold
 from infolattice.pauli import SupportInterval
 from infolattice.states import (
     PureState,
@@ -168,13 +170,15 @@ class TestEntropy:
             entropy_bits(np.diag([1.1, -0.1]))
         with pytest.raises(NumericalError):
             entropy_bits(np.diag([np.nan, 1.0]))  # lam > 0 would drop the NaN
-        # states corrupted after construction: a NaN or an inf amplitude
-        # gives a reduced density matrix with non-finite entries
-        for bad in ([np.nan, 0.0, 0.0, 1.0], [SQ2, np.inf, np.inf, SQ2]):
-            s = PureState.from_label("00")
-            s.amps[:] = bad
-            with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
-                s.reduced_density(SupportInterval(0, 0))
+        # states corrupted after construction, complex (einsum) and real (Gram
+        # product): a NaN or an inf amplitude gives density matrices with
+        # non-finite entries
+        for s in (PureState.from_label("00"), PureState([1.0, 0.0, 0.0, 0.0], (2, 2))):
+            for bad in ([np.nan, 0.0, 0.0, 1.0], [SQ2, np.inf, np.inf, SQ2]):
+                s.amps[:] = bad
+                for rdm in (s.reduced_density, s.complement_density):
+                    with pytest.raises(NumericalError), np.errstate(invalid="ignore"):
+                        rdm(SupportInterval(0, 0))
 
     def test_complement_density_checks(self):
         s = haar_random_state((2,) * 4, np.random.default_rng(8))
@@ -185,6 +189,44 @@ class TestEntropy:
         s.amps[0] = np.nan  # corrupt a state that passed construction
         with pytest.raises(NumericalError):
             s.complement_density(iv)
+
+    @staticmethod
+    def einsum_densities(s, iv):
+        """Hermitized einsum contractions of the interval and its complement."""
+        a = math.prod(s.dims[: iv.left])
+        c = math.prod(s.dims[iv.right + 1 :])
+        t = s.amps.reshape(a, -1, c)
+        rho = np.einsum("amc,anc->mn", t, t.conj())
+        comp = np.einsum("amc,bmd->acbd", t, t.conj()).reshape(a * c, a * c)
+        return 0.5 * (rho + rho.conj().T), 0.5 * (comp + comp.conj().T)
+
+    @pytest.mark.parametrize(
+        "dims", [(2,) * 6, (3,) * 4, (2, 3, 2, 3, 2), "fold"], ids=str
+    )
+    def test_gram_product_matches_einsum_on_real_states(self, dims):
+        rng = np.random.default_rng(17)
+        if dims == "fold":  # mixed dimensions (4, 4, 2) from folding
+            s = fold(PureState(rng.normal(size=32), (2,) * 5, normalize=True))
+        else:
+            s = PureState(rng.normal(size=math.prod(dims)), dims, normalize=True)
+        assert s.amps.dtype == np.float64
+        for left in range(s.num_sites):
+            for right in range(left, s.num_sites):
+                iv = SupportInterval(left, right)
+                rho, comp = self.einsum_densities(s, iv)
+                np.testing.assert_allclose(s.reduced_density(iv), rho, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(s.complement_density(iv), comp, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dims", [(2,) * 6, (3,) * 4, (2, 3, 2, 3, 2)], ids=str)
+    def test_complex_states_keep_the_einsum_bytes(self, dims):
+        # the dense_lattice references record these exact values
+        s = haar_random_state(dims, np.random.default_rng(18))
+        for left in range(s.num_sites):
+            for right in range(left, s.num_sites):
+                iv = SupportInterval(left, right)
+                rho, comp = self.einsum_densities(s, iv)
+                np.testing.assert_array_equal(s.reduced_density(iv), rho)
+                np.testing.assert_array_equal(s.complement_density(iv), comp)
 
     def test_complement_symmetry(self):
         rng = np.random.default_rng(4)
