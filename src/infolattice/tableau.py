@@ -103,32 +103,13 @@ class StabilizerTableau:
         )
 
     def contains(self, p: PauliString) -> bool:
-        """Whether the generators and ``p`` span exactly L independent strings,
-        phases ignored: for a full-rank tableau, phaseless membership of ``p``
-        in the stabilizer group.
-
-        ``p`` is reduced against the cached clipped gauge from the left: each
-        gauge row is the pivot of its left endpoint, for the X bit there if it
-        has one and for the Z bit otherwise.
-        """
+        """Phaseless membership of a string in the stabilizer group's span."""
         if p.length != self.length:
             raise DimensionMismatchError("string length does not match tableau")
-        gauge = self._clipped_gauge()
-        pivots: dict[tuple[int, bool], tuple[int, int]] = {}
-        for left, _, x, z, _ in gauge:
-            key = (left, not x >> left & 1)
-            if key in pivots:  # step 2 can leave two rows with an X bit at a site
-                x, z = x ^ pivots[key][0], z ^ pivots[key][1]
-                key = (left, True)
-            pivots[key] = (x, z)
-        x, z = p.x, p.z
-        while x | z:
-            site = ((x | z) & -(x | z)).bit_length() - 1
-            row = pivots.get((site, not x >> site & 1))
-            if row is None:  # p lies outside the span, which it enlarges by one
-                return len(gauge) + 1 == self.length
-            x, z = x ^ row[0], z ^ row[1]
-        return len(gauge) == self.length
+        extended = StabilizerTableau(
+            self.length, self._xs + [p.x], self._zs + [p.z], self._ph + [p.phase_exp]
+        )
+        return len(extended._clipped_gauge()) == self.length
 
     # -- Clifford evolution ---------------------------------------------------
 

@@ -258,42 +258,6 @@ def generator_sets(draw):
     return gens
 
 
-def extended_gauge_rule(t, p):
-    """Oracle for ``contains``: the generators and ``p`` span rank L, read off
-    a fresh clipped gauge of the extended tableau (the rule ``contains``
-    applied before it reduced against the cached gauge)."""
-    extended = StabilizerTableau(t.length, t._xs + [p.x], t._zs + [p.z], t._ph + [p.phase_exp])
-    return len(extended._clipped_gauge()) == t.length
-
-
-@settings(PROPERTY, max_examples=300)
-@given(generator_sets(), st.data())
-def test_contains_matches_extended_gauge_rule(gens, data):
-    length = gens[0].length
-    # the tableau from_generators builds, also when the set is dependent
-    t = StabilizerTableau(
-        length, [g.x for g in gens], [g.z for g in gens], [g.phase_exp for g in gens]
-    )
-
-    def product(strings):
-        x = z = 0
-        for g in strings:
-            x, z = x ^ g.x, z ^ g.z
-        return PauliString(length, x, z)
-
-    def one_site_off(p, site, letter):
-        return PauliString(length, p.x ^ (letter & 1) << site, p.z ^ (letter >> 1) << site)
-
-    bits = st.integers(0, 2**length - 1)
-    anywhere = st.builds(PauliString, st.just(length), bits, bits, st.integers(0, 3))
-    # phaseless products of any subset of the strings, and near misses that
-    # differ from such a product on one site
-    spanned = st.lists(st.sampled_from(gens), max_size=length).map(product)
-    near = st.builds(one_site_off, spanned, st.integers(0, length - 1), st.integers(1, 3))
-    for p in data.draw(st.lists(st.one_of(spanned, near, anywhere), min_size=1, max_size=6)):
-        assert t.contains(p) == extended_gauge_rule(t, p)
-
-
 @settings(PROPERTY, max_examples=300)
 @given(generator_sets(), st.data())
 def test_gauge_rank_matches_full_reduction(gens, data):

@@ -418,32 +418,11 @@ class TestMLGS:
 
 class TestContains:
     def test_two_rows_with_an_x_bit_at_one_site(self):
-        # the right-endpoint sweep of the clipped gauge leaves both rows
-        # starting at site 0 with an X bit there
         t = StabilizerTableau.from_generators([P("YY"), P("-ZX")])
-        assert [(left, x & 1) for left, _, x, *_ in t._clipped_gauge()] == [(0, 1), (0, 1)]
         members = {"II", "YY", "ZX", "XZ"}
         for a in "IXYZ":
             for b in "IXYZ":
                 assert t.contains(P(a + b)) == (a + b in members), a + b
-
-    def test_queries_reuse_the_cached_gauge(self, monkeypatch):
-        t = random_clifford_circuit(1000, 3, 7).apply_to_tableau(
-            StabilizerTableau.zero_state(1000)
-        )
-        gens = t.generators
-        lone_x = PauliString(1000, 1 << 999, 0)
-        extended = StabilizerTableau(1000, t._xs + [lone_x.x], t._zs + [0], t._ph + [0])
-        lone_x_member = len(extended._clipped_gauge()) == 1000
-        t._clipped_gauge()
-
-        def no_new_tableau(*args):
-            raise AssertionError("contains built a tableau")
-
-        monkeypatch.setattr(StabilizerTableau, "__init__", no_new_tableau)
-        assert all(t.contains(g) for g in gens)
-        assert t.contains(multiply(gens[3], gens[500]))
-        assert t.contains(lone_x) == lone_x_member
 
 
 class TestValidation:
