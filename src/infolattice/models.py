@@ -16,6 +16,7 @@ neighboring pair: |0> -> |00>, |1> -> (|01>+|10>)/sqrt(2), |2> -> |11>.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -215,16 +216,38 @@ class PottsSpec:
             )
 
 
+# The index tables below depend only on N.  Each is computed once per N (the
+# caches hold a few N at a time) and returned read-only; every caller builds a
+# fresh matrix from them, so no shared mutable matrix escapes.
+
+
+@functools.lru_cache(maxsize=4)
 def _digits(n: int) -> np.ndarray:
     """Qutrit digits of every basis index, site 0 most significant."""
-    return np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+    digits = np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
+    digits.setflags(write=False)
+    return digits
 
 
-def _shifted(n: int, sites: Sequence[int], step: int = 1) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _shifted(n: int, sites: tuple[int, ...], step: int = 1) -> np.ndarray:
     """Every basis index after adding ``step`` mod 3 to the digits at ``sites``."""
-    digits = _digits(n)
-    digits[:, sites] = (digits[:, sites] + step) % 3
-    return digits @ 3 ** np.arange(n - 1, -1, -1)
+    digits = _digits(n)[:, sites]
+    weights = 3 ** (n - 1 - np.array(sites))
+    shifted = np.arange(3**n) + ((digits + step) % 3 - digits) @ weights
+    shifted.setflags(write=False)
+    return shifted
+
+
+@functools.lru_cache(maxsize=4)
+def _orbit_columns(n: int) -> np.ndarray:
+    """Sector column of every basis index: the rank of the smallest member of
+    its orbit under the global shift."""
+    every = tuple(range(n))
+    smallest = np.minimum.reduce([np.arange(3**n), _shifted(n, every, 1), _shifted(n, every, 2)])
+    _, cols = np.unique(smallest, return_inverse=True)
+    cols.setflags(write=False)
+    return cols
 
 
 def potts_hamiltonian(spec: PottsSpec) -> sp.csr_matrix:
@@ -245,7 +268,7 @@ def potts_hamiltonian(spec: PottsSpec) -> sp.csr_matrix:
     for i in range(n - 1):
         bond = (z[:, i].conj() * z[:, i + 1] + z[:, i] * z[:, i + 1].conj()).real
         diag = diag - (spec.coupling / 3.0) * bond
-    shifts = [_shifted(n, [i], step) for i in range(n) for step in (1, 2)]
+    shifts = [_shifted(n, (i,), step) for i in range(n) for step in (1, 2)]
     rows = np.concatenate([np.arange(dim), *shifts])
     cols = np.tile(np.arange(dim), 2 * n + 1)
     data = np.concatenate([diag, np.full(2 * n * dim, -float(spec.field))])
@@ -259,7 +282,7 @@ def charge_operator(n: int) -> sp.csr_matrix:
     import scipy.sparse as sp
 
     dim = 3**n
-    rows = _shifted(n, range(n))
+    rows = _shifted(n, tuple(range(n)))
     return sp.csr_matrix((np.ones(dim), (rows, np.arange(dim))), shape=(dim, dim))
 
 
@@ -273,12 +296,8 @@ def symmetric_sector_isometry(n: int) -> sp.csr_matrix:
     import scipy.sparse as sp
 
     dim = 3**n
-    smallest = np.minimum.reduce(
-        [np.arange(dim), _shifted(n, range(n), 1), _shifted(n, range(n), 2)]
-    )
-    _, cols = np.unique(smallest, return_inverse=True)
     data = np.full(dim, 1.0 / np.sqrt(3.0))
-    return sp.csr_matrix((data, (np.arange(dim), cols)), shape=(dim, dim // 3))
+    return sp.csr_matrix((data, (np.arange(dim), _orbit_columns(n))), shape=(dim, dim // 3))
 
 
 # largest accepted eigen-residual ||H v - E v|| of a computed ground state

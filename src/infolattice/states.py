@@ -106,10 +106,20 @@ class PureState:
             raise DimensionMismatchError("overlap of states with different dims")
         return complex(np.vdot(other.amps, self.amps))
 
+    def _reflected_tensor(self) -> np.ndarray:
+        """The amplitude tensor with its site axes reversed (a view)."""
+        return self.tensor().transpose(tuple(reversed(range(self.num_sites))))
+
     def mirror(self) -> "PureState":
         """Site-reflected state (site j -> L-1-j)."""
-        t = self.tensor().transpose(tuple(reversed(range(self.num_sites))))
-        return PureState(t.ravel(), tuple(reversed(self.dims)))
+        return PureState(self._reflected_tensor().ravel(), tuple(reversed(self.dims)))
+
+    def mirror_distance(self) -> float:
+        """``||psi - R psi||_2`` for the site reflection R; ``inf`` when the
+        dims are not a palindrome, so R psi lives on another chain."""
+        if self.dims != self.dims[::-1]:
+            return math.inf
+        return float(np.linalg.norm(self.tensor() - self._reflected_tensor()))
 
     # -- gates ---------------------------------------------------------------
 

@@ -103,13 +103,14 @@ class StabilizerTableau:
         )
 
     def contains(self, p: PauliString) -> bool:
-        """Phaseless membership of a string in the stabilizer group's span."""
+        """Phaseless membership of a string in the span of the rows, which may
+        be dependent: adding a member leaves the rank unchanged."""
         if p.length != self.length:
             raise DimensionMismatchError("string length does not match tableau")
         extended = StabilizerTableau(
             self.length, self._xs + [p.x], self._zs + [p.z], self._ph + [p.phase_exp]
         )
-        return len(extended._clipped_gauge()) == self.length
+        return len(extended._clipped_gauge()) == len(self._clipped_gauge())
 
     # -- Clifford evolution ---------------------------------------------------
 

@@ -6,6 +6,9 @@ that depends on set or dict iteration order shows up as a difference; the
 set covers every subcommand and Potts ground states at N = 7, 8 and 9
 (h = 0 included, where the sector matrix is diagonal).  The N = 9 lattice
 takes reduced density matrices of side up to 512 from a blocked BLAS product.
+Mirror-symmetric states (the Potts chains, GHZ at odd L) take the half-lattice
+path and asymmetric ones (Neel at even L) the full one; a sweep that returns to
+an earlier N reuses that N's cached Potts index tables.
 """
 
 import json
@@ -53,6 +56,9 @@ INVOCATIONS = [
     ["lattice", "--potts", "N=9,h=0.5"],
     ["summarize", "--circuit", "{tdoped}", "--seed", "3", "--fold"],
     ["witness", "--amplitudes", "{amps}", "--json"],
+    ["lattice", "--state", "ghz", "--L", "7"],
+    ["summarize", "--state", "neel", "--L", "6"],
+    ["potts-sweep", "--sizes", "8,6", "--h", "0,0.4", "--format", "json"],
 ]
 
 

@@ -21,9 +21,17 @@ from infolattice import (
     interleave,
     summarize,
 )
+from infolattice import lattice as lattice_module
 from infolattice.errors import NumericalError
-from infolattice.lattice import CLAMP_EPS, lattice_from_interval_info
-from infolattice.models import cat_state, edge_bell_state, reference_state
+from infolattice.lattice import CLAMP_EPS, MIRROR_TOL, lattice_from_interval_info
+from infolattice.models import (
+    PottsSpec,
+    cat_state,
+    edge_bell_state,
+    embed_qutrit_to_spins,
+    reference_state,
+    symmetric_ground_state,
+)
 from infolattice.states import haar_random_state
 
 SQ2 = 1 / np.sqrt(2)
@@ -360,3 +368,89 @@ def test_max_integer_deviation_rejects_non_finite_sites():
         lat = InfoLattice((1.0, 1.0), (np.array([1.0, bad]), np.array([0.0])))
         with pytest.raises(NumericalError):
             lat.max_integer_deviation()
+
+
+def potts_chain(n, field, embedded):
+    gs, _ = symmetric_ground_state(PottsSpec(n, 1.0, field))
+    return embed_qutrit_to_spins(gs) if embedded else gs
+
+
+def symmetrized_haar(dims, seed):
+    psi = haar_random_state(dims, np.random.default_rng(seed))
+    return PureState(psi.amps + psi.mirror().amps, dims, normalize=True)
+
+
+def ghz_plus_asymmetric(length, weight):
+    rng = np.random.default_rng(length)
+    v = reference_state("ghz", length).amps + weight * haar_random_state((2,) * length, rng).amps
+    return PureState(v, (2,) * length, normalize=True)
+
+
+SYMMETRIC = [
+    *(
+        pytest.param(potts_chain, (n, h, embedded), id=f"potts N={n} h={h} embedded={embedded}")
+        for n in range(2, 7)
+        for h in (0.0, 0.4, 0.8)
+        for embedded in (False, True)
+    ),
+    *(pytest.param(cat_state, (q, L), id=f"cat q={q} L={L}") for q in (2, 3) for L in (2, 5, 6)),
+    pytest.param(reference_state, ("neel", 5), id="neel L=5"),
+    pytest.param(reference_state, ("ghz", 7), id="ghz L=7"),
+    *(
+        pytest.param(symmetrized_haar, (dims, 7), id=f"symmetrized haar {dims}")
+        for dims in [(2, 3, 3, 2), (3, 2, 3), (2, 3, 2, 2, 3, 2), (3, 2, 2, 2, 3)]
+    ),
+]
+
+ASYMMETRIC = [
+    pytest.param(haar_random_state, ((2,) * 6, np.random.default_rng(3)), id="haar L=6"),
+    pytest.param(reference_state, ("neel", 6), id="neel L=6"),
+    # the amplitudes alone read as symmetric; the dims are not a palindrome
+    pytest.param(PureState.computational, ((2, 3, 2, 3), (0, 0, 0, 0)), id="dims 2323"),
+    pytest.param(ghz_plus_asymmetric, (6, 1e-9), id="ghz L=6 + 1e-9 asymmetric"),
+]
+
+
+def counted_lattice(monkeypatch, state):
+    """``compute_lattice(state)`` and the number of interval entropies it took."""
+    calls = []
+    entropy = PureState.entropy_of_interval
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return entropy(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(PureState, "entropy_of_interval", counted)
+        lat = compute_lattice(state)
+    return lat, len(calls)
+
+
+class TestMirrorShortcut:
+    @pytest.mark.parametrize("make, args", SYMMETRIC)
+    def test_symmetric_states_compute_half_and_match_full(self, monkeypatch, make, args):
+        state = make(*args)
+        L = state.num_sites
+        assert state.mirror_distance() <= MIRROR_TOL
+        lat, calls = counted_lattice(monkeypatch, state)
+        assert calls == sum((L - 1 - scale) // 2 + 1 for scale in range(L))
+        with monkeypatch.context() as m:
+            m.setattr(lattice_module, "MIRROR_TOL", -1.0)  # forces every interval
+            full, full_calls = counted_lattice(monkeypatch, state)
+        assert full_calls == L * (L + 1) // 2
+        for row, full_row in zip(lat.rows, full.rows, strict=True):
+            assert np.max(np.abs(row - full_row)) <= 1e-12
+
+    @pytest.mark.parametrize("make, args", ASYMMETRIC)
+    def test_other_states_compute_every_interval(self, monkeypatch, make, args):
+        state = make(*args)
+        L = state.num_sites
+        assert state.mirror_distance() > MIRROR_TOL
+        _, calls = counted_lattice(monkeypatch, state)
+        assert calls == L * (L + 1) // 2
+
+    def test_mirror_distance(self):
+        assert reference_state("ghz", 5).mirror_distance() == 0.0
+        assert PureState.computational((2, 3), (0, 0)).mirror_distance() == math.inf
+        assert reference_state("neel", 2).mirror_distance() == pytest.approx(math.sqrt(2))
+        assert 1e-9 < ghz_plus_asymmetric(6, 1e-9).mirror_distance() < 1e-8

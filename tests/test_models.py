@@ -10,6 +10,7 @@ import scipy.sparse.linalg as spla
 
 from infolattice import PureState, compute_lattice, summarize
 from infolattice.errors import ConfigurationError, NumericalError
+from infolattice import models
 from infolattice.tableau import statevector_from_tableau
 from infolattice.models import (
     CLOCK_Z,
@@ -161,6 +162,63 @@ class TestPottsHamiltonian:
             PottsSpec(3, field=float("nan"))
         with pytest.raises(ConfigurationError, match="both zero"):
             PottsSpec(3, coupling=0.0, field=0.0)
+
+
+def clear_potts_tables():
+    for table in (models._digits, models._shifted, models._orbit_columns):
+        table.cache_clear()
+
+
+MATRIX_BUILDERS = {
+    "hamiltonian": lambda: potts_hamiltonian(PottsSpec(3, 1.0, 0.4)),
+    "isometry": lambda: symmetric_sector_isometry(3),
+    "charge": lambda: charge_operator(3),
+}
+
+
+class TestPottsTables:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cached_tables_are_read_only(self, n):
+        every = tuple(range(n))
+        tables = [
+            models._digits(n),
+            models._shifted(n, (0,), 1),
+            models._shifted(n, every, 2),
+            models._orbit_columns(n),
+        ]
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    def test_shift_tables_match_digit_arithmetic(self):
+        n = 4
+        weights = 3 ** np.arange(n - 1, -1, -1)
+        for sites in [(0,), (2,), (3,), (1, 3), (0, 1, 2, 3)]:
+            for step in (1, 2):
+                digits = np.array(models._digits(n))
+                digits[:, sites] = (digits[:, sites] + step) % 3
+                assert np.array_equal(models._shifted(n, sites, step), digits @ weights)
+
+    @pytest.mark.parametrize("build", MATRIX_BUILDERS.values(), ids=MATRIX_BUILDERS)
+    def test_mutating_a_returned_matrix_leaves_the_next_unchanged(self, build):
+        first = build()
+        before = (first.data.copy(), first.indices.copy(), first.indptr.copy())
+        first.data[:] = 7.0
+        first.indices[:] = 0
+        first.indptr[:] = 0
+        second = build()
+        assert all(map(np.array_equal, before, (second.data, second.indices, second.indptr)))
+
+    def test_sweep_out_of_order_matches_fresh_points(self):
+        fields = [0.0, 0.4]
+        rows = potts_sweep([8, 6, 8], fields)
+        fresh = []
+        for length in (8, 6, 8):
+            for field in fields:
+                clear_potts_tables()
+                fresh.append(potts_point(length, field)[0])
+        assert rows == fresh
 
 
 class TestSymmetricSector:

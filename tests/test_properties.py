@@ -275,5 +275,5 @@ def test_gauge_rank_matches_full_reduction(gens, data):
     anywhere = st.builds(PauliString, st.just(length), bits, bits, st.integers(0, 3))
     spanned = products(st.sampled_from(gens), length)
     for p in data.draw(st.lists(st.one_of(spanned, anywhere), min_size=1, max_size=4)):
-        expected = rank_by_full_reduction(length, rows + [(p.x, p.z, p.phase_exp)]) == length
+        expected = rank_by_full_reduction(length, rows + [(p.x, p.z, p.phase_exp)]) == rank
         assert t.contains(p) == expected

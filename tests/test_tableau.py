@@ -424,6 +424,14 @@ class TestContains:
             for b in "IXYZ":
                 assert t.contains(P(a + b)) == (a + b in members), a + b
 
+    def test_dependent_rows_answer_membership(self):
+        # rows Z on site 0 and the identity: the span is {II, ZI}, of rank 1 < L
+        t = StabilizerTableau(2, [0, 0], [1, 0], [0, 0])
+        assert t.contains(P("II"))
+        assert t.contains(P("ZI"))
+        assert not t.contains(P("IX"))
+        assert not t.contains(P("IZ"))
+
 
 class TestValidation:
     def test_anticommuting_generators_rejected(self):
