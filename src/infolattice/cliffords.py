@@ -62,17 +62,10 @@ def clifford_word(num_qubits: int, index: int) -> tuple[gates.Gate, ...]:
     return words[index]
 
 
-_matrix_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def clifford_matrix(num_qubits: int, index: int) -> np.ndarray:
     """Dense unitary of the index-th element (global phase fixed by the word)."""
-    key = (num_qubits, index)
-    m = _matrix_cache.get(key)
-    if m is None:
-        m = gates.word_matrix(clifford_word(num_qubits, index), num_qubits)
-        _matrix_cache[key] = m
-    return m
+    return gates.word_matrix(clifford_word(num_qubits, index), num_qubits)
 
 
 def sample_indices(rng: np.random.Generator, num_qubits: int, count: int) -> list[int]:

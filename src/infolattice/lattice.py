@@ -46,13 +46,6 @@ class InfoLattice:
     def num_sites(self) -> int:
         return len(self.log2_dims)
 
-    def value(self, n: float, scale: int) -> float:
-        left = n - scale / 2
-        k = int(round(left))
-        if abs(left - k) > 1e-9 or not 0 <= k < self.num_sites - scale:
-            raise KeyError(f"no lattice site at (n={n}, l={scale})")
-        return float(self.rows[scale][k])
-
     def sites(self) -> Iterator[tuple[float, int, float]]:
         """Yield ``(n, l, i)`` for every lattice site, scale by scale."""
         for scale, row in enumerate(self.rows):
@@ -64,18 +57,6 @@ class InfoLattice:
 
     def total(self) -> float:
         return float(sum(float(row.sum()) for row in self.rows))
-
-    def mirrored(self) -> "InfoLattice":
-        return InfoLattice(
-            tuple(reversed(self.log2_dims)), tuple(row[::-1].copy() for row in self.rows)
-        )
-
-    def allclose(self, other: "InfoLattice", atol: float = 1e-8) -> bool:
-        if self.num_sites != other.num_sites:
-            return False
-        return all(
-            np.allclose(a, b, atol=atol, rtol=0.0) for a, b in zip(self.rows, other.rows)
-        )
 
     def max_integer_deviation(self) -> tuple[float, Optional[tuple[float, int]]]:
         """Largest distance of any site value from its nearest integer.
@@ -288,18 +269,17 @@ def interleave(state: PureState) -> PureState:
     )
 
 
-def gamma_folded(state: PureState, *, granularity: str = "site") -> float:
+def gamma_folded(state: PureState) -> float:
     """Large-scale information after the fold-in-half locality change.
 
-    ``granularity="site"`` (default) evaluates the pair-interleaved chain at
-    full site resolution with the usual ``floor(L/2)`` cutoff;
-    ``granularity="pair"`` evaluates the merged dimension-``d*d`` chain with
-    cutoff ``floor(L'/2)``.  Both turn edge-to-edge correlations local; the
-    site-resolved version keeps odd scales distinguishable, which the
-    desk-scale cat-state identities need.
+    Evaluates the pair-interleaved chain of :func:`interleave` at full site
+    resolution with the usual ``floor(L/2)`` cutoff.  Like :func:`fold` it
+    turns edge-to-edge correlations local, but it keeps odd scales
+    distinguishable, which the desk-scale cat-state identities need.  The
+    merged-pair value is ``summarize(compute_lattice(fold(state))).gamma``.
 
-    The large-scale total of the folded chain telescopes.  With ``L`` and
-    ``c = floor(L/2)`` the length and cutoff of the folded chain and ``A_l``
+    The large-scale total of the interleaved chain telescopes.  With ``L``
+    and ``c = floor(L/2)`` its length and cutoff and ``A_l``
     the sum of the interval informations ``I(l, left)`` over all lefts,
 
         gamma = sum log2 d - A_{c-1} + sum_{left=1}^{L-c} I(c-2, left),
@@ -311,12 +291,7 @@ def gamma_folded(state: PureState, *, granularity: str = "site") -> float:
     scales >= c) x 1e-12, and by at most 2.6e-14 on the default Potts
     sweep grid.
     """
-    if granularity == "site":
-        chain = interleave(state)
-    elif granularity == "pair":
-        chain = fold(state)
-    else:
-        raise ValueError(f"unknown folding granularity {granularity!r}")
+    chain = interleave(state)
     L = chain.num_sites
     cut = L // 2
     upper = [(left, cut - 1) for left in range(L - cut + 1)] if cut >= 1 else []

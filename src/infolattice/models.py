@@ -115,16 +115,6 @@ def cat_state(branches: int, length: int, local_dim: Optional[int] = None) -> Pu
     return PureState(amps, (d,) * length)
 
 
-def edge_bell_state(length: int) -> PureState:
-    """Bell pair between the chain ends, product |0> elsewhere."""
-    if length < 2:
-        raise ConfigurationError("need at least two sites")
-    amps = np.zeros(2**length, dtype=complex)
-    amps[0] = 1.0 / np.sqrt(2.0)
-    amps[(1 << (length - 1)) | 1] = 1.0 / np.sqrt(2.0)
-    return PureState(amps, (2,) * length)
-
-
 # ---------------------------------------------------------------------------
 # T-doped circuits
 

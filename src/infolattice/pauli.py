@@ -11,7 +11,7 @@ tracked phase-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from . import _kernels
 from .errors import DimensionMismatchError
@@ -24,7 +24,7 @@ _CHAR_BITS = {v: k for k, v in _BITS_CHAR.items()}
 
 @dataclass(frozen=True)
 class SupportInterval:
-    """Closed interval of sites ``[left, right]``; scale is its diameter."""
+    """Closed interval of sites ``[left, right]``; its scale is ``right - left``."""
 
     left: int
     right: int
@@ -34,22 +34,8 @@ class SupportInterval:
             raise ValueError(f"invalid interval [{self.left}, {self.right}]")
 
     @property
-    def diameter(self) -> int:
-        return self.right - self.left
-
-    @property
     def num_sites(self) -> int:
         return self.right - self.left + 1
-
-    @property
-    def center(self) -> float:
-        return (self.left + self.right) / 2
-
-    def sites(self) -> range:
-        return range(self.left, self.right + 1)
-
-    def contains(self, site: int) -> bool:
-        return self.left <= site <= self.right
 
 
 @dataclass(frozen=True)
@@ -118,28 +104,8 @@ class PauliString:
     # -- structure ---------------------------------------------------------
 
     @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
-    @property
     def is_hermitian(self) -> bool:
         return self.phase_exp % 2 == 0
-
-    def site_letter(self, site: int) -> str:
-        return _BITS_CHAR[((self.x >> site) & 1, (self.z >> site) & 1)]
-
-    def support(self) -> list[int]:
-        occ = self.x | self.z
-        return [j for j in range(self.length) if (occ >> j) & 1]
-
-    def minimal_support(self) -> Optional[SupportInterval]:
-        """Smallest interval covering all nonidentity sites; None for identity."""
-        occ = self.x | self.z
-        if occ == 0:
-            return None
-        left = (occ & -occ).bit_length() - 1
-        right = occ.bit_length() - 1
-        return SupportInterval(left, right)
 
     # -- algebra -----------------------------------------------------------
 
@@ -193,11 +159,3 @@ def row_reduce(generators: Sequence[PauliString]) -> tuple[list[PauliString], in
     basis = [PauliString(length, xs[k], zs[k], ph[k]) for k in range(rank)]
     return basis, rank
 
-
-def spans_same_group(a: Iterable[PauliString], b: Iterable[PauliString]) -> bool:
-    """Phaseless comparison of the groups generated by two sets."""
-    basis_a, rank_a = row_reduce(list(a))
-    basis_b, rank_b = row_reduce(list(b))
-    if rank_a != rank_b:
-        return False
-    return [(g.x, g.z) for g in basis_a] == [(g.x, g.z) for g in basis_b]

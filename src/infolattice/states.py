@@ -3,10 +3,11 @@
 Amplitude indexing is row-major over sites with site 0 the most significant
 tensor factor, i.e. the basis label reads left to right like the ket.
 Chains may mix local dimensions (needed after folding); most constructors
-produce uniform-dimension chains.  Density matrices are plain Hermitized
-arrays, checked for finiteness, unit trace and Hermiticity when built; no
+produce uniform-dimension chains.  A density matrix is checked for
+finiteness, unit trace and Hermiticity as contracted, then Hermitized; no
 side of one may exceed ``MAX_RDM_SIDE`` (MemoryCapError above it).  A real
-state gets them from one BLAS Gram product, a complex one from ``einsum``.
+state gets its density matrices from one BLAS Gram product, a complex one
+from ``einsum``.
 """
 
 from __future__ import annotations
@@ -87,39 +88,19 @@ class PureState:
         return len(self.dims)
 
     @property
-    def local_dim(self) -> int:
-        """Uniform local dimension; raises on mixed-dimension chains."""
-        d = set(self.dims)
-        if len(d) != 1:
-            raise ValueError(f"chain has mixed local dimensions {self.dims}")
-        return d.pop()
-
-    @property
     def log2_dims(self) -> tuple[float, ...]:
         return tuple(math.log2(d) for d in self.dims)
 
     def tensor(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
 
-    def overlap(self, other: "PureState") -> complex:
-        if self.dims != other.dims:
-            raise DimensionMismatchError("overlap of states with different dims")
-        return complex(np.vdot(other.amps, self.amps))
-
-    def _reflected_tensor(self) -> np.ndarray:
-        """The amplitude tensor with its site axes reversed (a view)."""
-        return self.tensor().transpose(tuple(reversed(range(self.num_sites))))
-
-    def mirror(self) -> "PureState":
-        """Site-reflected state (site j -> L-1-j)."""
-        return PureState(self._reflected_tensor().ravel(), tuple(reversed(self.dims)))
-
     def mirror_distance(self) -> float:
         """``||psi - R psi||_2`` for the site reflection R; ``inf`` when the
         dims are not a palindrome, so R psi lives on another chain."""
         if self.dims != self.dims[::-1]:
             return math.inf
-        return float(np.linalg.norm(self.tensor() - self._reflected_tensor()))
+        t = self.tensor()
+        return float(np.linalg.norm(t - t.T))  # .T reverses the site axes
 
     # -- gates ---------------------------------------------------------------
 
@@ -190,9 +171,8 @@ class PureState:
             rho = g @ g.T
         else:
             rho = np.einsum("amc,anc->mn", t, t.conj())
-        rho = 0.5 * (rho + rho.conj().T)
         _check_density(rho, "RDM")
-        return rho
+        return 0.5 * (rho + rho.conj().T)
 
     def complement_density(self, interval: SupportInterval) -> np.ndarray:
         """Density matrix of the (possibly two-piece) complement of an interval."""
@@ -207,9 +187,8 @@ class PureState:
             rho = g @ g.T
         else:
             rho = np.einsum("amc,bmd->acbd", t, t.conj()).reshape(a * c, a * c)
-        rho = 0.5 * (rho + rho.conj().T)
         _check_density(rho, "complement density matrix")
-        return rho
+        return 0.5 * (rho + rho.conj().T)
 
     def entropy_of_interval(self, interval: SupportInterval) -> float:
         """Von Neumann entropy in bits, via the smaller of interval/complement.

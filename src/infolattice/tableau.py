@@ -9,14 +9,14 @@ gauge (Nahum, Ruhman, Vijay & Haah, PRX 7, 031016), cached per tableau: a
 signed generating set in which at most two generators start, and at most two
 end, on any site, with independent single-site operators there.  The
 subgroup supported on an interval is generated by the gauge generators
-inside it, so interval ranks, entropies |A| - rank(S_A) and the integer
-lattice follow by counting, and ``restrict_subgroup`` reduces only those
+inside it, so interval entropies |A| - rank(S_A) and the integer lattice
+follow by counting, and ``restrict_subgroup`` reduces only those
 generators, over the interval's columns.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -102,21 +102,7 @@ class StabilizerTableau:
             and self._ph == other._ph
         )
 
-    def contains(self, p: PauliString) -> bool:
-        """Phaseless membership of a string in the span of the rows, which may
-        be dependent: adding a member leaves the rank unchanged."""
-        if p.length != self.length:
-            raise DimensionMismatchError("string length does not match tableau")
-        extended = StabilizerTableau(
-            self.length, self._xs + [p.x], self._zs + [p.z], self._ph + [p.phase_exp]
-        )
-        return len(extended._clipped_gauge()) == len(self._clipped_gauge())
-
     # -- Clifford evolution ---------------------------------------------------
-
-    def apply_clifford(self, name: str, *qubits: int) -> "StabilizerTableau":
-        """New tableau with every generator conjugated by the gate."""
-        return self.apply_circuit([(name, qubits)])
 
     def apply_circuit(self, circuit: Iterable[gates.Gate]) -> "StabilizerTableau":
         """New tableau with every generator conjugated by each gate in turn.
@@ -227,16 +213,6 @@ class StabilizerTableau:
         a, b = interval.left, interval.right
         rank = sum(1 for left, right, *_ in self._clipped_gauge() if a <= left and right <= b)
         return float(interval.num_sites - rank)
-
-    def interval_rank_table(self) -> list[list[int]]:
-        """Subgroup ranks of all intervals, indexed ``[scale][left]``."""
-        L = self.length
-        counts = np.zeros((L, L), dtype=np.int64)
-        for a, b, *_ in self._clipped_gauge():
-            counts[a, b] += 1
-        # inside[a, b]: generators with a <= left and right <= b
-        inside = counts[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
-        return [np.diagonal(inside, scale).tolist() for scale in range(L)]
 
     def integer_info_lattice(self) -> InfoLattice:
         """Exact integer lattice: the second difference of the interval ranks
@@ -384,17 +360,6 @@ class CliffordCircuit:
         if t.length != self.length:
             raise DimensionMismatchError("circuit and tableau lengths differ")
         return t.apply_circuit(self.gate_sequence())
-
-    def apply_to_state(self, state: PureState) -> PureState:
-        if state.num_sites != self.length:
-            raise DimensionMismatchError("circuit and state lengths differ")
-        out = state
-        for layer in self.assignments:
-            for (a, b), idx in layer:
-                if b != a + 1:
-                    raise ValueError("dense path expects adjacent bonds")
-                out = out.apply_unitary(cliffords.clifford_matrix(2, idx), a)
-        return out
 
 
 def brickwork_bonds(length: int, layer: int) -> list[tuple[int, int]]:

@@ -1,11 +1,17 @@
-"""Shared helpers: dense Pauli oracle, canonical random-circuit ensemble."""
+"""Shared helpers: dense oracles for Pauli strings and brickwork circuits,
+the site reflection, Pauli spans and supports, the canonical random-circuit
+ensemble."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from infolattice.pauli import PauliString
+from infolattice import cliffords
+from infolattice.lattice import InfoLattice
+from infolattice.pauli import PauliString, row_reduce
+from infolattice.states import PureState
+from infolattice.tableau import CliffordCircuit
 
 I2 = np.eye(2, dtype=complex)
 PAULI_1Q = {
@@ -20,8 +26,50 @@ def dense_pauli(p: PauliString) -> np.ndarray:
     """Independent dense matrix of a signed Pauli string (site 0 = MSB)."""
     m = np.array([[1.0 + 0j]])
     for j in range(p.length):
-        m = np.kron(m, PAULI_1Q[p.site_letter(j)])
+        m = np.kron(m, PAULI_1Q["IXZY"[(p.x >> j & 1) + 2 * (p.z >> j & 1)]])
     return (1j ** p.phase_exp) * m
+
+
+def span(strings) -> list[tuple[int, int]]:
+    """Canonical phaseless basis of the group the strings generate."""
+    return [(g.x, g.z) for g in row_reduce(list(strings))[0]]
+
+
+def support_ends(p: PauliString) -> tuple[int, int] | None:
+    """First and last nonidentity site of a string; None for the identity."""
+    occ = p.x | p.z
+    return ((occ & -occ).bit_length() - 1, occ.bit_length() - 1) if occ else None
+
+
+def apply_brickwork_dense(circuit: CliffordCircuit, state: PureState) -> PureState:
+    """Dense oracle for ``apply_to_tableau``: each two-qubit Clifford as a 4x4 unitary."""
+    for layer in circuit.assignments:
+        for (a, _), idx in layer:
+            state = state.apply_unitary(cliffords.clifford_matrix(2, idx), a)
+    return state
+
+
+def mirror_state(state: PureState) -> PureState:
+    """Site-reflected state (site j -> L-1-j)."""
+    return PureState(state.tensor().T.ravel(), state.dims[::-1])
+
+
+def mirror_lattice(lat: InfoLattice) -> InfoLattice:
+    """Lattice of the site-reflected chain: every row read backwards."""
+    return InfoLattice(lat.log2_dims[::-1], tuple(row[::-1].copy() for row in lat.rows))
+
+
+def assert_lattices_close(a: InfoLattice, b: InfoLattice, atol: float) -> None:
+    assert a.num_sites == b.num_sites
+    for row_a, row_b in zip(a.rows, b.rows):
+        np.testing.assert_allclose(row_a, row_b, atol=atol, rtol=0.0)
+
+
+def edge_bell_state(length: int) -> PureState:
+    """Bell pair between the chain ends, product |0> elsewhere."""
+    amps = np.zeros(2**length, dtype=complex)
+    amps[0] = amps[(1 << (length - 1)) | 1] = 1 / np.sqrt(2)
+    return PureState(amps, (2,) * length)
 
 
 def random_pauli(rng: np.random.Generator, length: int, hermitian: bool = False) -> PauliString:

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import ensemble_specs
+from conftest import assert_lattices_close, ensemble_specs, mirror_lattice, mirror_state
 from infolattice import (
     StabilizerTableau,
     compute_lattice,
@@ -275,5 +275,5 @@ def test_criterion_10_property_suite():
         for _, _, v in lat.sites():
             assert -1e-8 <= v <= cap + 1e-8
         assert abs(lat.total() - compute_lattice(fold(s)).total()) <= 1e-8
-        assert compute_lattice(s.mirror()).allclose(lat.mirrored(), atol=1e-8)
+        assert_lattices_close(compute_lattice(mirror_state(s)), mirror_lattice(lat), 1e-8)
     print("\nACCEPTANCE 10 PASS: 50 mixed-origin states satisfy all lattice properties")

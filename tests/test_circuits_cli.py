@@ -638,7 +638,7 @@ class TestCLI:
 
 
 # The gate rule, one row per kind of bad gate, on every engine entry point.
-# Columns: the tableau (apply_clifford and apply_circuit), the dense state
+# Columns: the tableau (apply_circuit), the dense state
 # (PureState.apply_gate), the circuit runners (run_circuit_tableau and
 # run_circuit_dense, explicit length L) and the CLI exit code of circuit-run
 # and lattice on a gate file; None means the gate runs.
@@ -673,7 +673,6 @@ def test_gate_rule_across_engines(
     name, qubits = gate
     zero = StabilizerTableau.zero_state(GATE_L)
     circuit = [("H", (0,)), gate]
-    assert raised(lambda: zero.apply_clifford(name, *qubits)) is tableau
     assert raised(lambda: zero.apply_circuit(circuit)) is tableau
     assert raised(lambda: PureState.from_label("0" * GATE_L).apply_gate(name, *qubits)) is dense
     assert raised(lambda: circuits.run_circuit_tableau(circuit, GATE_L)) is run_tableau

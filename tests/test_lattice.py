@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_lattices_close, edge_bell_state, mirror_lattice, mirror_state
 from infolattice import (
     InfoLattice,
     PureState,
@@ -27,7 +28,6 @@ from infolattice.lattice import CLAMP_EPS, MIRROR_TOL, lattice_from_interval_inf
 from infolattice.models import (
     PottsSpec,
     cat_state,
-    edge_bell_state,
     embed_qutrit_to_spins,
     reference_state,
     symmetric_ground_state,
@@ -178,7 +178,7 @@ class TestGammaFolded:
         g = reference_state("ghz", 8)
         assert summarize(compute_lattice(g)).gamma == pytest.approx(1.0, abs=1e-10)
         assert gamma_folded(g) == pytest.approx(1.0, abs=1e-10)
-        assert gamma_folded(g, granularity="pair") == pytest.approx(1.0, abs=1e-10)
+        assert summarize(compute_lattice(fold(g))).gamma == pytest.approx(1.0, abs=1e-10)
 
     def test_edge_bell_pair_becomes_local(self):
         # apex carries both bits of the end-to-end pair; folding removes them
@@ -187,8 +187,8 @@ class TestGammaFolded:
         np.testing.assert_allclose(lat.rows[7], [2.0], atol=1e-10)
         assert summarize(lat).gamma == pytest.approx(2.0, abs=1e-10)
         assert gamma_folded(e) == pytest.approx(0.0, abs=1e-10)
-        assert gamma_folded(e, granularity="pair") == pytest.approx(0.0, abs=1e-10)
         folded_lat = compute_lattice(fold(e))
+        assert summarize(folded_lat).gamma == pytest.approx(0.0, abs=1e-10)
         assert folded_lat.rows[0].sum() == pytest.approx(folded_lat.total(), abs=1e-10)
 
     def test_interleave_keeps_dims_and_norm(self):
@@ -197,10 +197,6 @@ class TestGammaFolded:
         assert r.dims == (2,) * 6
         assert abs(np.linalg.norm(r.amps) - 1) < 1e-12
         assert abs(compute_lattice(r).total() - compute_lattice(s).total()) < 1e-8
-
-    def test_bad_granularity(self):
-        with pytest.raises(ValueError):
-            gamma_folded(reference_state("ghz", 4), granularity="bogus")
 
 
 class TestInvariants:
@@ -240,15 +236,7 @@ class TestInvariants:
             for _, _, v in lat.sites():
                 assert -1e-8 <= v <= cap
             assert abs(lat.total() - sum(math.log2(d) for d in s.dims)) < 1e-8
-            mirrored = compute_lattice(s.mirror())
-            assert mirrored.allclose(lat.mirrored(), atol=1e-8)
-
-    def test_value_accessor(self):
-        lat = compute_lattice(reference_state("ghz", 4))
-        assert lat.value(1.5, 3) == pytest.approx(1.0, abs=1e-10)
-        assert lat.value(0.5, 1) == pytest.approx(1.0, abs=1e-10)
-        with pytest.raises(KeyError):
-            lat.value(0.3, 1)
+            assert_lattices_close(compute_lattice(mirror_state(s)), mirror_lattice(lat), 1e-8)
 
 
 def second_differences_by_loop(log2_dims, info):
@@ -377,7 +365,7 @@ def potts_chain(n, field, embedded):
 
 def symmetrized_haar(dims, seed):
     psi = haar_random_state(dims, np.random.default_rng(seed))
-    return PureState(psi.amps + psi.mirror().amps, dims, normalize=True)
+    return PureState(psi.amps + mirror_state(psi).amps, dims, normalize=True)
 
 
 def ghz_plus_asymmetric(length, weight):

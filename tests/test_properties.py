@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import assert_lattices_close, mirror_lattice, mirror_state
 from infolattice import (
     _kernels,
     analyze,
     compute_lattice,
-    fold,
     gamma_folded,
     interleave,
     summarize,
@@ -67,7 +67,9 @@ def test_sites_nonnegative_and_total_is_sum_log2_d(state):
 @PROPERTY
 @given(states())
 def test_mirror_covariance(state):
-    assert compute_lattice(state.mirror()).allclose(compute_lattice(state).mirrored(), atol=1e-9)
+    assert_lattices_close(
+        compute_lattice(mirror_state(state)), mirror_lattice(compute_lattice(state)), 1e-9
+    )
 
 
 @PROPERTY
@@ -75,16 +77,12 @@ def test_mirror_covariance(state):
 def test_tableau_and_dense_lattices_agree(length, layers, seed):
     t = brickwork_tableau(length, layers, seed)
     exact = t.integer_info_lattice()
-    assert compute_lattice(statevector_from_tableau(t)).allclose(exact, atol=1e-9)
-
-
-FOLDS = {"site": interleave, "pair": fold}
+    assert_lattices_close(compute_lattice(statevector_from_tableau(t)), exact, 1e-9)
 
 
 def assert_telescoped_gamma_folded(state):
-    for granularity, change in FOLDS.items():
-        full = summarize(compute_lattice(change(state))).gamma
-        assert abs(gamma_folded(state, granularity=granularity) - full) <= 1e-12
+    full = summarize(compute_lattice(interleave(state))).gamma
+    assert abs(gamma_folded(state) - full) <= 1e-12
 
 
 @PROPERTY
@@ -144,9 +142,6 @@ def test_gamma_folded_takes_at_most_length_plus_two_entropies(monkeypatch, lengt
     state = haar_random_state((2,) * length, np.random.default_rng(length))
     gamma_folded(state)
     assert 0 < len(calls) <= length + 2
-    calls.clear()
-    gamma_folded(state, granularity="pair")
-    assert len(calls) <= length + 2
 
 
 def restrict_by_full_reduction(length, rows, a, b):
@@ -162,20 +157,20 @@ def restrict_by_full_reduction(length, rows, a, b):
 
 
 def assert_gauge_matches_restriction(t, intervals=None, signed=True):
-    """Gauge rank table and ``restrict_subgroup`` against the oracle.
+    """Gauge entropies and ``restrict_subgroup`` against the oracle.
 
     Signs are compared only when ``signed``: the span of a dependent set may
     contain -I, and then an element's sign is undefined.
     """
     L = t.length
-    table = t.interval_rank_table()
     rows = [(g.x, g.z, g.phase_exp) for g in t.generators]
     if intervals is None:
         intervals = [(a, b) for a in range(L) for b in range(a, L)]
     for a, b in intervals:
         expected = restrict_by_full_reduction(L, rows, a, b)
         gens, rank = t.restrict_subgroup(SupportInterval(a, b))
-        assert table[b - a][a] == rank == len(expected), (a, b)
+        entropy = t.stabilizer_entropy(SupportInterval(a, b))
+        assert b - a + 1 - entropy == rank == len(expected), (a, b)
         # signed generators as (x, z, phase) triples; labels would cost O(L) each
         key = (lambda g: (g.x, g.z, g.phase_exp)) if signed else (lambda g: (g.x, g.z))
         assert [key(g) for g in gens] == [key(g) for g in expected], (a, b)
@@ -206,7 +201,12 @@ def test_gauge_ranks_match_restriction_dependent_sets(length, layers, seed, data
 @given(st.integers(1, 40), st.integers(0, 8), seeds)
 def test_gauge_lattice_is_second_difference_of_ranks(length, layers, seed):
     t = brickwork_tableau(max(length, 2), layers, seed)
-    ranks = lattice_from_interval_info((1.0,) * t.length, t.interval_rank_table())
+    L = t.length
+    info = [
+        [scale + 1 - t.stabilizer_entropy(SupportInterval(a, a + scale)) for a in range(L - scale)]
+        for scale in range(L)
+    ]
+    ranks = lattice_from_interval_info((1.0,) * L, info)
     for got, want in zip(t.integer_info_lattice().rows, ranks.rows, strict=True):
         assert np.array_equal(got, want) and not np.signbit(got).any()
 
@@ -275,5 +275,7 @@ def test_gauge_rank_matches_full_reduction(gens, data):
     anywhere = st.builds(PauliString, st.just(length), bits, bits, st.integers(0, 3))
     spanned = products(st.sampled_from(gens), length)
     for p in data.draw(st.lists(st.one_of(spanned, anywhere), min_size=1, max_size=4)):
-        expected = rank_by_full_reduction(length, rows + [(p.x, p.z, p.phase_exp)]) == rank
-        assert t.contains(p) == expected
+        # the gauge of the rows and p has one generator per rank of their span
+        ext = rows + [(p.x, p.z, p.phase_exp)]
+        extended = StabilizerTableau(length, *(list(col) for col in zip(*ext)))
+        assert extended.integer_info_lattice().total() == rank_by_full_reduction(length, ext)

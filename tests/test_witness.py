@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import edge_bell_state
 from infolattice import (
     PureState,
     StabilizerTableau,
@@ -18,7 +19,6 @@ from infolattice import (
 from infolattice.errors import ConfigurationError
 from infolattice.models import (
     cat_state,
-    edge_bell_state,
     embed_qutrit_to_spins,
     reference_state,
 )
@@ -121,6 +121,16 @@ class TestLongRangeWitness:
         ]
         # raising tol may only flip true -> false
         assert flags == sorted(flags, reverse=True)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="sites of a qutrit stabilizer state are integers in units of log2 3, "
+        "but the witnesses judge integrality in bits",
+    )
+    @pytest.mark.parametrize("length", [5, 6])
+    def test_qutrit_cat_state_is_not_witnessed(self, length):
+        verdict = witness_long_range(analyze(cat_state(3, length))[1])
+        assert not verdict.long_range_witnessed
 
     def test_invariants(self):
         states = [
