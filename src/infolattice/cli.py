@@ -132,15 +132,23 @@ def pretty_lattice(lat: InfoLattice, tol: float) -> str:
 # state sources
 
 
+POTTS_KEYS = ("N", "h", "J")
+
+
 def _parse_potts_arg(text: str) -> dict:
+    """The key=value items of --potts; each key is one of POTTS_KEYS, given once."""
     spec = {}
     for item in text.split(","):
         if not item.strip():
             continue
         if "=" not in item:
             raise ConfigurationError(f"bad potts spec item {item!r} (expected key=value)")
-        key, val = item.split("=", 1)
-        spec[key.strip()] = val.strip()
+        key, val = (part.strip() for part in item.split("=", 1))
+        if key not in POTTS_KEYS:
+            raise ConfigurationError(f"bad potts spec: unknown key {key!r} (expected N, h or J)")
+        if key in spec:
+            raise ConfigurationError(f"bad potts spec: key {key!r} given twice")
+        spec[key] = val
     return spec
 
 
@@ -297,16 +305,36 @@ def _parse_h_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+# the keys cmd_potts_sweep reads from a --config file
+SWEEP_CONFIG_KEYS = ("sizes", "h", "h_grid", "J", "gap_threshold", "tol", "granularity", "out")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members; a key given twice is a configuration error."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigurationError(f"bad sweep config: key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
 def cmd_potts_sweep(args) -> int:
     cfg = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             try:
-                cfg = json.load(fh)
+                cfg = json.load(fh, object_pairs_hook=_unique_keys)
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(f"bad sweep config: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigurationError("bad sweep config: expected a JSON object")
+        unknown = [key for key in cfg if key not in SWEEP_CONFIG_KEYS]
+        if unknown:
+            raise ConfigurationError(
+                f"bad sweep config: unknown key(s) {', '.join(map(repr, unknown))}"
+                f" (expected {', '.join(SWEEP_CONFIG_KEYS)})"
+            )
 
     def setting(flag, key, default):
         """A flag that was given beats the config file, which beats the default."""

@@ -9,9 +9,13 @@ with the 3x3 clock matrix Z = diag(1, w, w^2), w = exp(2*pi*i/3), and the
 shift X|k> = |k+1 mod 3>.  It commutes with the charge Q = prod_i X_i; the
 symmetric ground state is the lowest state in the Q = +1 sector.  H is real
 symmetric in the computational basis, so the Hamiltonian, the sector solve,
-the ground state and its embedding all stay in float64.  The qutrit
-chain embeds into 2N spins-1/2 by mapping each qutrit onto the triplet of a
-neighboring pair: |0> -> |00>, |1> -> (|01>+|10>)/sqrt(2), |2> -> |11>.
+the ground state and its embedding all stay in float64.  H is kept as its
+diagonal plus index tables of the 2N field permutations, the same form in
+the full space and in the sector, and the sector solve is a Lanczos
+iteration written in numpy, so the model needs nothing beyond numpy.  The
+qutrit chain embeds into 2N spins-1/2 by mapping each qutrit onto the
+triplet of a neighboring pair: |0> -> |00>, |1> -> (|01>+|10>)/sqrt(2),
+|2> -> |11>.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,9 +37,6 @@ from .pauli import PauliString
 from .states import PureState
 from .tableau import StabilizerTableau, brickwork_bonds
 from .witness import GROUND_STATE_TOL, LatticeVerdict, witness_long_range
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -207,8 +208,8 @@ class PottsSpec:
 
 
 # The index tables below depend only on N.  Each is computed once per N (the
-# caches hold a few N at a time) and returned read-only; every caller builds a
-# fresh matrix from them, so no shared mutable matrix escapes.
+# caches hold a few N at a time) and returned read-only, so every caller can
+# share them.
 
 
 @functools.lru_cache(maxsize=4)
@@ -220,7 +221,7 @@ def _digits(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _shifted(n: int, sites: tuple[int, ...], step: int = 1) -> np.ndarray:
+def _shifted(n: int, sites: tuple[int, ...], step: int) -> np.ndarray:
     """Every basis index after adding ``step`` mod 3 to the digits at ``sites``."""
     digits = _digits(n)[:, sites]
     weights = 3 ** (n - 1 - np.array(sites))
@@ -240,92 +241,185 @@ def _orbit_columns(n: int) -> np.ndarray:
     return cols
 
 
-def potts_hamiltonian(spec: PottsSpec) -> sp.csr_matrix:
-    """Sparse real symmetric (float64) Hamiltonian on the full 3^N space,
-    open boundaries.
-
-    The clock terms are diagonal; X_i and Xd_i are the basis permutations
-    that shift digit i by one and by two.  Each bond term
-    ``conj(z_i) z_j + z_i conj(z_j)`` has an imaginary part that cancels
-    exactly, so keeping its real part loses nothing.
-    """
-    import scipy.sparse as sp  # scipy loads only for a Potts solve
-
-    n = spec.qutrits
-    dim = 3**n
+@functools.lru_cache(maxsize=4)
+def _bond_terms(n: int) -> np.ndarray:
+    """Real part of ``conj(z_i) z_{i+1} + z_i conj(z_{i+1})`` on every basis
+    index, one row per bond i; the imaginary part cancels exactly."""
     z = np.diag(CLOCK_Z)[_digits(n)]
-    diag = np.zeros(dim)
-    for i in range(n - 1):
-        bond = (z[:, i].conj() * z[:, i + 1] + z[:, i] * z[:, i + 1].conj()).real
+    bonds = np.array(
+        [(z[:, i].conj() * z[:, i + 1] + z[:, i] * z[:, i + 1].conj()).real for i in range(n - 1)]
+    )
+    bonds.setflags(write=False)
+    return bonds
+
+
+@functools.lru_cache(maxsize=4)
+def _field_shifts(n: int) -> np.ndarray:
+    """Index tables of the field's permutations X_i and Xd_i, one row each.
+
+    The rows are computed past ``_shifted``'s cache, which would otherwise
+    keep a second copy of each.
+    """
+    rows = [_shifted.__wrapped__(n, (i,), step) for i in range(n) for step in (1, 2)]
+    shifts = np.array(rows)
+    shifts.setflags(write=False)
+    return shifts
+
+
+@functools.lru_cache(maxsize=4)
+def _sector_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit representatives and the field's index tables in the sector.
+
+    The representative of sector column c is the smallest member of its
+    orbit; the tables are ``cols[shifts[:, reps]]``, with ``cols`` the orbit
+    columns and ``shifts`` the full-space field tables.
+    """
+    cols = _orbit_columns(n)
+    reps = np.unique(cols, return_index=True)[1]
+    sector_shifts = cols[_field_shifts(n)[:, reps]]
+    reps.setflags(write=False)
+    sector_shifts.setflags(write=False)
+    return reps, sector_shifts
+
+
+@dataclass(frozen=True)
+class PottsOperator:
+    """Real symmetric operator ``H @ v = diag * v - field * v[shifts].sum(0)``.
+
+    The Potts Hamiltonian has this form in the full space and in the
+    charge-0 sector: the clock terms are diagonal, and each field term is a
+    basis permutation, stored as one row of index table ``shifts``.  The set
+    of permutations is closed under inversion, so gathering along them is
+    the same as scattering.
+    """
+
+    diag: np.ndarray
+    shifts: np.ndarray
+    field: float
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.diag * v - self.field * np.take(v, self.shifts).sum(axis=0)
+
+
+def potts_hamiltonian(spec: PottsSpec) -> PottsOperator:
+    """Real symmetric (float64) Hamiltonian on the full 3^N space, open
+    boundaries: the diagonal of the clock terms plus the index tables of the
+    2N field permutations, so that ``H @ v = diag * v - h * v[shifts].sum(0)``.
+
+    X_i and Xd_i are the basis permutations that shift digit i by one and by
+    two.  Each bond term ``conj(z_i) z_j + z_i conj(z_j)`` has an imaginary
+    part that cancels exactly, so keeping its real part loses nothing.  The
+    tables are shared between calls of one N and, like the diagonal,
+    read-only.
+    """
+    n = spec.qutrits
+    diag = np.zeros(3**n)
+    for bond in _bond_terms(n):
         diag = diag - (spec.coupling / 3.0) * bond
-    shifts = [_shifted(n, (i,), step) for i in range(n) for step in (1, 2)]
-    rows = np.concatenate([np.arange(dim), *shifts])
-    cols = np.tile(np.arange(dim), 2 * n + 1)
-    data = np.concatenate([diag, np.full(2 * n * dim, -float(spec.field))])
-    h = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-    h.eliminate_zeros()  # a zero coupling or field adds no stored entries
-    return h
+    diag.setflags(write=False)
+    return PottsOperator(diag, _field_shifts(n), float(spec.field))
 
 
-def charge_operator(n: int) -> sp.csr_matrix:
-    """Global shift ``prod_i X_i`` as a sparse basis permutation."""
-    import scipy.sparse as sp
-
-    dim = 3**n
-    rows = _shifted(n, tuple(range(n)))
-    return sp.csr_matrix((np.ones(dim), (rows, np.arange(dim))), shape=(dim, dim))
+def charge_operator(n: int) -> np.ndarray:
+    """Global shift ``Q = prod_i X_i`` as its basis permutation ``perm``:
+    ``Q|b> = |perm[b]>``, so ``Q @ v`` is the vector ``w`` with ``w[perm] = v``."""
+    return _shifted(n, tuple(range(n)), 1)
 
 
-def symmetric_sector_isometry(n: int) -> sp.csr_matrix:
-    """Isometry onto the charge-0 sector of ``prod_i X_i`` (dimension 3^{N-1}).
+def symmetric_sector_isometry(n: int) -> np.ndarray:
+    """Isometry P onto the charge-0 sector of ``prod_i X_i`` (dimension
+    3^{N-1}), as its orbit-column table ``cols``.
 
     Basis orbits under the global shift have size three; each orbit
     contributes the uniform combination of its members, in the column ranked
-    by the orbit's smallest member.
+    by the orbit's smallest member.  So ``P[b, cols[b]] = 1/sqrt(3)`` is the
+    only nonzero entry of row b, and ``P @ u = u[cols] / sqrt(3)``.
     """
-    import scipy.sparse as sp
-
-    dim = 3**n
-    data = np.full(dim, 1.0 / np.sqrt(3.0))
-    return sp.csr_matrix((data, (np.arange(dim), _orbit_columns(n))), shape=(dim, dim // 3))
+    return _orbit_columns(n)
 
 
 # largest accepted eigen-residual ||H v - E v|| of a computed ground state
 GROUND_STATE_RESIDUAL_TOL = 1e-9
+# Lanczos steps after which a ground-state solve counts as not converged
+LANCZOS_MAX_STEPS = 300
+# Lanczos steps between two convergence checks; each check is a dense
+# eigensolve of the tridiagonal matrix, dearer than a step at small N
+LANCZOS_CHECK_EVERY = 4
+
+
+def _lanczos_lowest(op: PottsOperator) -> tuple[float, np.ndarray]:
+    """Lowest eigenpair of ``op`` by Lanczos with full reorthogonalization,
+    from the normalized uniform vector.
+
+    A Ritz pair is accepted when its residual estimate ``beta_k |s_k|`` is at
+    most ``eps * max(|theta|, eps**(2/3))``, ARPACK's test at ``tol=0``, or
+    when the Krylov space is invariant.  That shows when the reorthogonalizing
+    pass removes most of what the three-term recurrence left (Kahan's
+    twice-is-enough test): the rest is rounding.  An invariant Krylov space
+    holds the ground state's share of the start vector, so its lowest Ritz
+    pair is exact.  Raises NumericalError when neither holds within
+    LANCZOS_MAX_STEPS steps.
+    """
+    dim = op.diag.size
+    eps = np.finfo(float).eps
+    basis = np.empty((min(dim, 16), dim))
+    alpha: list[float] = []
+    beta: list[float] = []
+    v = np.full(dim, 1.0 / math.sqrt(dim))
+    for k in range(min(dim, LANCZOS_MAX_STEPS)):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty_like(basis)])
+        basis[k] = v
+        q = basis[: k + 1]
+        # the three-term recurrence, then one Gram-Schmidt pass against every
+        # Lanczos vector
+        w = op @ v
+        alpha.append(float(v @ w))
+        w -= alpha[k] * v
+        if k:
+            w -= beta[k - 1] * q[k - 1]
+        first = float(np.linalg.norm(w))
+        w -= (q @ w) @ q
+        b = float(np.linalg.norm(w))
+        invariant = b <= 0.1 * first
+        if invariant or (k + 1) % LANCZOS_CHECK_EVERY == 0:
+            t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            thetas, s = np.linalg.eigh(t)
+            theta = float(thetas[0])
+            if invariant or b * abs(s[-1, 0]) <= eps * max(abs(theta), eps ** (2 / 3)):
+                return theta, s[:, 0] @ q
+        beta.append(b)
+        v = w / b
+    raise NumericalError(f"Lanczos did not converge in {LANCZOS_MAX_STEPS} steps")
 
 
 def symmetric_ground_state(spec: PottsSpec) -> tuple[PureState, float]:
     """Lowest eigenvector of H in the charge-0 sector, with its energy.
 
-    One Lanczos solve (``eigsh``) of the real symmetric sector matrix from the
-    uniform start vector, which overlaps the ground state: for J, h >= 0 the
-    only off-diagonal entries of H are the field's ``-h`` shifts and the
-    sector isometry is non-negative with disjoint column supports, so the
-    sector matrix has no positive off-diagonal entry and, by Perron-Frobenius,
-    a non-negative ground state.  The vector is lifted to the full space,
+    One Lanczos solve of the real symmetric sector operator from the uniform
+    start vector, which overlaps the ground state: for J, h >= 0 the only
+    off-diagonal entries of H are the field's ``-h`` shifts and the sector
+    isometry is non-negative with disjoint column supports, so the sector
+    matrix has no positive off-diagonal entry and, by Perron-Frobenius, a
+    non-negative ground state.  The sector operator has H's own form on the
+    orbit representatives ``reps``: diagonal ``diag[reps]`` and index tables
+    ``cols[shifts[:, reps]]``.  The vector is lifted to the full space,
     signed so that its largest amplitude is positive, and checked for its
-    eigen-residual and sector membership; it is real (float64).  Any ARPACK
-    failure raises NumericalError.
+    eigen-residual and sector membership; it is real (float64).  A solve
+    that does not converge raises NumericalError.
     """
-    import scipy.sparse.linalg as spla
-
     n = spec.qutrits
     h = potts_hamiltonian(spec)
-    p = symmetric_sector_isometry(n)
-    h_sym = p.T @ h @ p
-    try:
-        energies, vectors = spla.eigsh(h_sym, k=1, which="SA", tol=0, v0=np.ones(3 ** (n - 1)))
-    except spla.ArpackError as exc:
-        raise NumericalError(str(exc)) from exc
-    energy = float(energies[0])
-    v = p @ vectors[:, 0]
+    cols = symmetric_sector_isometry(n)
+    reps, sector_shifts = _sector_tables(n)
+    energy, u = _lanczos_lowest(PottsOperator(h.diag[reps], sector_shifts, h.field))
+    v = u[cols] * (1.0 / np.sqrt(3.0))
     v = v / np.linalg.norm(v)
     v = v * np.sign(v[int(np.argmax(np.abs(v)))])
     residual = float(np.linalg.norm(h @ v - energy * v))
     if residual > GROUND_STATE_RESIDUAL_TOL:
         raise NumericalError(f"eigen-residual {residual} above {GROUND_STATE_RESIDUAL_TOL}")
-    q = charge_operator(n)
-    if float(np.linalg.norm(q @ v - v)) > 1e-9:
+    if float(np.linalg.norm(v[charge_operator(n)] - v)) > 1e-9:
         raise NumericalError("ground state left the symmetric sector")
     return PureState(v, (3,) * n), energy
 

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import jsonschema
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import infolattice
 from infolattice import circuits, gates, load_amplitudes, models
 from infolattice.cli import main
-from infolattice.errors import ConfigurationError, NonCliffordGateError
+from infolattice.errors import ConfigurationError, NonCliffordGateError, NumericalError
 from infolattice.models import reference_state
 from infolattice.pauli import PauliString
 from infolattice.states import PureState
@@ -458,13 +457,16 @@ class TestCLI:
             (["--sizes", "8", "--h", "-0.1"], None),
             (["--sizes", "8", "--h", "0.1"], {"granularity": "bogus"}),
             (["--sizes", "8", "--h", "0.1"], {"out": 1}),
+            # misspelled keys used to be ignored, running the default grid with J = 1
+            pytest.param([], {"sizes": [4], "field": [0.3], "coupling": 0.5}, id="unknown-keys"),
+            pytest.param([], '{"sizes": [4], "h": [0.3], "J": 0.5, "J": 1.0}', id="repeated-key"),
         ],
     )
     def test_sweep_configuration_error_before_solving(self, tmp_path, flags, config):
         out = tmp_path / "sweep.csv"
         if config is not None:
             path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(config))
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
             flags = [*flags, "--config", str(path)]
         if "out" not in (config or {}):  # a given --out would beat the config's
             flags = [*flags, "--out", str(out)]
@@ -479,6 +481,40 @@ class TestCLI:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+        # nor does a Potts solve, on either CLI path that runs one
+        code = (
+            "import contextlib, io, sys\n"
+            "from infolattice.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [\n"
+            "        main(['witness', '--potts', 'N=6,h=0.25', '--json']),\n"
+            "        main(['potts-sweep', '--sizes', '8', '--h', '0:0.8:5']),\n"
+            "    ]\n"
+            "print(codes, 'scipy' in sys.modules)"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0] False\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # each used to run: h = 0 for H=0.3, J = 1 for j=0, and N = 6
+            ["witness", "--potts", "N=4,H=0.3"],
+            ["witness", "--potts", "N=4,h=0.3,j=0"],
+            ["witness", "--potts", "N=4,h=0.3,N=6"],
+            ["lattice", "--potts", "N=4,h=0.3,h=0.5"],
+        ],
+    )
+    def test_bad_potts_key_exits_config(self, monkeypatch, capsys, argv):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(models, "symmetric_ground_state", unreachable)
+        assert self.run(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: bad potts spec")
+        assert "Traceback" not in captured.err
 
     def test_amplitude_source(self, tmp_path):
         from infolattice import save_amplitudes
@@ -533,17 +569,21 @@ class TestCLI:
                 ["lattice", "--state", "ghz", "--L", "4"],
             ),
             (
-                "scipy.sparse.linalg.eigsh",
-                ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((0, 0))),
+                "infolattice.models._lanczos_lowest",
+                NumericalError("Lanczos did not converge in 300 steps"),
                 ["witness", "--potts", "N=7,h=0.3"],
             ),
             (
-                "scipy.sparse.linalg.eigsh",
-                ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((0, 0))),
+                "infolattice.models._lanczos_lowest",
+                NumericalError("Lanczos did not converge in 300 steps"),
                 ["witness", "--potts", "N=4,h=0.3"],
             ),
-            # any other ARPACK failure, e.g. a start vector it rejects
-            ("scipy.sparse.linalg.eigsh", ArpackError(-9), ["witness", "--potts", "N=4,h=0.3"]),
+            # the dense eigensolve of the Lanczos tridiagonal matrix failing
+            (
+                "infolattice.models._lanczos_lowest",
+                np.linalg.LinAlgError("Eigenvalues did not converge"),
+                ["witness", "--potts", "N=4,h=0.3"],
+            ),
         ],
     )
     def test_solver_failure_numerical_exit(self, monkeypatch, capsys, target, exc, argv):
@@ -554,6 +594,14 @@ class TestCLI:
         assert self.run(*argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "Traceback" not in err
+
+    def test_lanczos_step_bound_numerical_exit(self, monkeypatch, capsys):
+        # a real non-convergence: N = 5 needs more than three Lanczos steps
+        monkeypatch.setattr(models, "LANCZOS_MAX_STEPS", 3)
+        assert self.run("witness", "--potts", "N=5,h=0.3") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Lanczos did not converge")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -568,7 +616,7 @@ class TestCLI:
         def unreachable(*args, **kwargs):
             raise AssertionError("a point was solved")
 
-        monkeypatch.setattr("scipy.sparse.linalg.eigsh", unreachable)
+        monkeypatch.setattr("infolattice.models._lanczos_lowest", unreachable)
         assert self.run(*argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: coupling and field")

@@ -5,8 +5,6 @@ from functools import reduce
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from conftest import assert_lattices_close
 from infolattice import PureState, compute_lattice, summarize
@@ -16,6 +14,7 @@ from infolattice.tableau import statevector_from_tableau
 from infolattice.models import (
     CLOCK_Z,
     SHIFT_X,
+    PottsOperator,
     PottsSpec,
     SWEEP_CSV_COLUMNS,
     TDopedCircuitSpec,
@@ -53,6 +52,32 @@ def dense_potts(n, coupling, field):
         x = site_chain(n, {i: SHIFT_X})
         h = h - field * (x.conj().T + x)
     return h
+
+
+def dense_operator(apply, dim):
+    """Dense matrix of a linear map, column by column from its action on the
+    basis vectors."""
+    return np.column_stack([apply(e) for e in np.eye(dim)])
+
+
+def apply_charge(n, v):
+    """``Q @ v`` for the global shift, from its basis permutation."""
+    qv = np.empty_like(v)
+    qv[charge_operator(n)] = v
+    return qv
+
+
+def hamiltonian_matrix(spec):
+    return dense_operator(potts_hamiltonian(spec).__matmul__, 3**spec.qutrits)
+
+
+def charge_matrix(n):
+    return dense_operator(lambda v: apply_charge(n, v), 3**n)
+
+
+def isometry_matrix(n):
+    cols = symmetric_sector_isometry(n)
+    return dense_operator(lambda u: u[cols] / np.sqrt(3.0), 3 ** (n - 1))
 
 
 class TestReferenceStates:
@@ -106,52 +131,53 @@ class TestPottsHamiltonian:
     def test_two_site_ferromagnet(self):
         # bond term has eigenvalue 2 on aligned pairs: ground energy -2J/3,
         # threefold degenerate (dense diagonalization as the oracle)
-        h = potts_hamiltonian(PottsSpec(2, coupling=1.0, field=0.0)).toarray()
+        h = hamiltonian_matrix(PottsSpec(2, coupling=1.0, field=0.0))
         evals = np.linalg.eigvalsh(h)
         assert evals[0] == pytest.approx(-2.0 / 3.0, abs=1e-12)
         assert np.sum(np.abs(evals - evals[0]) < 1e-9) == 3
 
     def test_two_site_paramagnet(self):
         # X + Xd has top eigenvalue 2 on the uniform vector
-        h = potts_hamiltonian(PottsSpec(2, coupling=0.0, field=0.7)).toarray()
+        h = hamiltonian_matrix(PottsSpec(2, coupling=0.0, field=0.7))
         evals, vecs = np.linalg.eigh(h)
         assert evals[0] == pytest.approx(-4 * 0.7, abs=1e-12)
         uniform = np.ones(9) / 3.0
         assert abs(np.vdot(uniform, vecs[:, 0])) == pytest.approx(1.0, abs=1e-9)
 
     def test_hermitian(self):
-        h = potts_hamiltonian(PottsSpec(3, 1.0, 0.4))
-        assert (abs(h - h.conj().T) > 1e-12).nnz == 0
+        h = hamiltonian_matrix(PottsSpec(3, 1.0, 0.4))
+        assert np.abs(h - h.conj().T).max() <= 1e-12
 
     @pytest.mark.parametrize("field", [0.0, 0.3, 2])
     def test_real_symmetric(self, field):
-        h = potts_hamiltonian(PottsSpec(3, 1.0, field))
-        assert h.dtype == np.float64
-        assert (h != h.T).nnz == 0
+        op = potts_hamiltonian(PottsSpec(3, 1.0, field))
+        assert op.diag.dtype == np.float64 and (op @ np.ones(27)).dtype == np.float64
+        h = hamiltonian_matrix(PottsSpec(3, 1.0, field))
+        assert np.array_equal(h, h.T)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("j,field", [(1.0, 0.0), (1.0, 0.3), (0.7, 0.55), (0.0, 0.4)])
     def test_matches_dense_formula(self, n, j, field):
-        h = potts_hamiltonian(PottsSpec(n, j, field))
-        assert np.array_equal(h.toarray(), dense_potts(n, j, field))
+        h = hamiltonian_matrix(PottsSpec(n, j, field))
+        assert np.array_equal(h, dense_potts(n, j, field))
 
     @pytest.mark.parametrize("n,j,field", [(2, 1.0, 0.3), (3, 0.5, 0.0), (4, 1.0, 1.2)])
     def test_charge_symmetry(self, n, j, field):
-        h = potts_hamiltonian(PottsSpec(n, j, field))
-        q = charge_operator(n)
+        h = hamiltonian_matrix(PottsSpec(n, j, field))
+        q = charge_matrix(n)
         comm = h @ q - q @ h
         assert abs(comm).max() < 1e-12
         shift = site_chain(n, dict.fromkeys(range(n), SHIFT_X.real))
-        assert np.array_equal(q.toarray(), shift)
+        assert np.array_equal(q, shift)
         # sector columns: shift orbits, uniform weights, ordered by smallest member
         orbits = (np.eye(3**n) + shift + shift @ shift) != 0
         first = [b for b in range(3**n) if np.flatnonzero(orbits[:, b])[0] == b]
         p_ref = orbits[:, first] / np.sqrt(3.0)
-        assert np.array_equal(symmetric_sector_isometry(n).toarray(), p_ref)
+        assert np.array_equal(isometry_matrix(n), p_ref)
 
     def test_charge_is_order_three(self):
-        q = charge_operator(3)
-        assert abs((q @ q @ q) - sp.identity(27)).max() < 1e-15
+        q = charge_matrix(3)
+        assert abs((q @ q @ q) - np.eye(27)).max() < 1e-15
 
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
@@ -165,15 +191,27 @@ class TestPottsHamiltonian:
 
 
 def clear_potts_tables():
-    for table in (models._digits, models._shifted, models._orbit_columns):
+    tables = (
+        models._digits,
+        models._shifted,
+        models._orbit_columns,
+        models._bond_terms,
+        models._field_shifts,
+        models._sector_tables,
+    )
+    for table in tables:
         table.cache_clear()
 
 
-MATRIX_BUILDERS = {
+OPERATOR_BUILDERS = {
     "hamiltonian": lambda: potts_hamiltonian(PottsSpec(3, 1.0, 0.4)),
     "isometry": lambda: symmetric_sector_isometry(3),
     "charge": lambda: charge_operator(3),
 }
+
+
+def operator_arrays(op):
+    return [op.diag, op.shifts] if isinstance(op, PottsOperator) else [op]
 
 
 class TestPottsTables:
@@ -185,6 +223,9 @@ class TestPottsTables:
             models._shifted(n, (0,), 1),
             models._shifted(n, every, 2),
             models._orbit_columns(n),
+            models._bond_terms(n),
+            models._field_shifts(n),
+            *models._sector_tables(n),
         ]
         for table in tables:
             assert not table.flags.writeable
@@ -200,15 +241,17 @@ class TestPottsTables:
                 digits[:, sites] = (digits[:, sites] + step) % 3
                 assert np.array_equal(models._shifted(n, sites, step), digits @ weights)
 
-    @pytest.mark.parametrize("build", MATRIX_BUILDERS.values(), ids=MATRIX_BUILDERS)
-    def test_mutating_a_returned_matrix_leaves_the_next_unchanged(self, build):
+    @pytest.mark.parametrize("build", OPERATOR_BUILDERS.values(), ids=OPERATOR_BUILDERS)
+    def test_returned_operators_are_read_only(self, build):
         first = build()
-        before = (first.data.copy(), first.indices.copy(), first.indptr.copy())
-        first.data[:] = 7.0
-        first.indices[:] = 0
-        first.indptr[:] = 0
-        second = build()
-        assert all(map(np.array_equal, before, (second.data, second.indices, second.indptr)))
+        before = [table.copy() for table in operator_arrays(first)]
+        for table in operator_arrays(first):
+            with pytest.raises(ValueError):
+                table[0] = 7
+        if isinstance(first, PottsOperator):
+            with pytest.raises(AttributeError):  # a frozen dataclass
+                first.field = 7.0
+        assert all(map(np.array_equal, before, operator_arrays(build())))
 
     def test_sweep_out_of_order_matches_fresh_points(self):
         fields = [0.0, 0.4]
@@ -221,15 +264,39 @@ class TestPottsTables:
         assert rows == fresh
 
 
+def sector_matrix(spec):
+    """``P^T H P``, column by column from the actions of P, H and P^T."""
+    n = spec.qutrits
+    h = potts_hamiltonian(spec)
+    cols = symmetric_sector_isometry(n)
+
+    def project(u):
+        hpu = h @ (u[cols] / np.sqrt(3.0))
+        return np.bincount(cols, hpu, minlength=3 ** (n - 1)) / np.sqrt(3.0)
+
+    return dense_operator(project, 3 ** (n - 1))
+
+
 class TestSymmetricSector:
     def test_isometry(self):
         for n in (2, 3, 4):
-            p = symmetric_sector_isometry(n)
+            p = isometry_matrix(n)
             assert p.shape == (3**n, 3 ** (n - 1))
-            gram = (p.conj().T @ p).toarray()
+            gram = p.conj().T @ p
             np.testing.assert_allclose(gram, np.eye(3 ** (n - 1)), atol=1e-14)
-            q = charge_operator(n)
-            np.testing.assert_allclose((q @ p - p).toarray(), 0.0, atol=1e-14)
+            q = charge_matrix(n)
+            np.testing.assert_allclose(q @ p - p, 0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("j,field", [(1.0, 0.0), (1.0, 0.3), (0.0, 0.4)])
+    def test_sector_operator_is_projected_hamiltonian(self, n, j, field):
+        # the solver's operator on the orbit representatives is P^T H P
+        spec = PottsSpec(n, j, field)
+        h = potts_hamiltonian(spec)
+        reps, sector_shifts = models._sector_tables(n)
+        sector = PottsOperator(h.diag[reps], sector_shifts, h.field)
+        dense = dense_operator(sector.__matmul__, 3 ** (n - 1))
+        np.testing.assert_allclose(dense, sector_matrix(spec), rtol=0, atol=1e-14)
 
     def test_ground_state_h0_is_cat(self):
         gs, energy = symmetric_ground_state(PottsSpec(4, 1.0, 0.0))
@@ -247,18 +314,16 @@ class TestSymmetricSector:
             gs, energy = symmetric_ground_state(PottsSpec(4, 1.0, field))
             h = potts_hamiltonian(PottsSpec(4, 1.0, field))
             assert np.linalg.norm(h @ gs.amps - energy * gs.amps) < 1e-9
-            q = charge_operator(4)
-            assert np.linalg.norm(q @ gs.amps - gs.amps) < 1e-9
+            assert np.linalg.norm(apply_charge(4, gs.amps) - gs.amps) < 1e-9
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_lowest_eigenpair_matches_full_eigh(self, n):
         # the default potts-sweep field grid, h = 0 included
-        p = symmetric_sector_isometry(n)
+        p = isometry_matrix(n)
         for field in np.linspace(0.0, 0.8, 17):
             spec = PottsSpec(n, 1.0, round(float(field), 10))
             gs, energy = symmetric_ground_state(spec)
-            h_sym = p.conj().T @ potts_hamiltonian(spec) @ p
-            energies, vectors = np.linalg.eigh(h_sym.toarray())
+            energies, vectors = np.linalg.eigh(sector_matrix(spec))
             v_full = p @ vectors[:, 0]
             assert abs(energy - energies[0]) <= 1e-12
             assert abs(abs(np.vdot(v_full, gs.amps)) - 1.0) <= 1e-12
@@ -267,12 +332,11 @@ class TestSymmetricSector:
     def test_sector_matrix_is_perron_frobenius(self, n):
         # why the uniform Lanczos start overlaps the ground state: no positive
         # off-diagonal entry, and a non-negative ground state
-        p = symmetric_sector_isometry(n)
         for coupling in (1.0, 0.0):
             for field in np.linspace(0.0, 0.8, 17)[coupling == 0 :]:  # J = h = 0 is rejected
                 spec = PottsSpec(n, coupling, round(float(field), 10))
-                h_sym = sp.coo_matrix(p.T @ potts_hamiltonian(spec) @ p)
-                assert not np.any(h_sym.data[h_sym.row != h_sym.col] > 0)
+                h_sym = sector_matrix(spec)
+                assert not np.any(h_sym[~np.eye(len(h_sym), dtype=bool)] > 0)
                 gs, _ = symmetric_ground_state(spec)
                 assert gs.amps.min() >= -1e-12
 
@@ -288,25 +352,27 @@ class TestSymmetricSector:
         assert gs.amps.dtype == np.float64
         assert gs.amps[np.argmax(np.abs(gs.amps))] > 0
         h = potts_hamiltonian(spec)
-        p = symmetric_sector_isometry(n)
-        energies = sla.eigh((p.T @ h @ p).toarray(), eigvals_only=True, subset_by_index=[0, 0])
+        energies = sla.eigh(sector_matrix(spec), eigvals_only=True, subset_by_index=[0, 0])
         assert abs(energy - energies[0]) <= 1e-10
         assert np.linalg.norm(h @ gs.amps - energy * gs.amps) < 1e-9
-        assert np.linalg.norm(charge_operator(n) @ gs.amps - gs.amps) < 1e-9
+        assert np.linalg.norm(apply_charge(n, gs.amps) - gs.amps) < 1e-9
 
-    @pytest.mark.parametrize(
-        "exc",
-        [
-            spla.ArpackError(-9),
-            spla.ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((0, 0))),
-        ],
-    )
-    def test_arpack_failure_is_numerical_error(self, monkeypatch, exc):
-        def fail(*args, **kwargs):
-            raise exc
+    def test_step_bound_is_numerical_error(self, monkeypatch):
+        # a real non-convergence: N = 4 needs more than three Lanczos steps
+        monkeypatch.setattr(models, "LANCZOS_MAX_STEPS", 3)
+        with pytest.raises(NumericalError, match="Lanczos did not converge"):
+            symmetric_ground_state(PottsSpec(4, 1.0, 0.3))
 
-        monkeypatch.setattr(spla, "eigsh", fail)
-        with pytest.raises(NumericalError, match="ARPACK"):
+    def test_wrong_eigenpair_is_numerical_error(self, monkeypatch):
+        # the residual check catches a solver result that is no eigenpair
+        solve = models._lanczos_lowest
+
+        def off_by_one(op):
+            energy, vector = solve(op)
+            return energy + 1.0, vector
+
+        monkeypatch.setattr(models, "_lanczos_lowest", off_by_one)
+        with pytest.raises(NumericalError, match="eigen-residual"):
             symmetric_ground_state(PottsSpec(3, 1.0, 0.3))
 
     def test_ground_state_is_real(self):
