@@ -24,7 +24,6 @@ from .states import (
     PureState,
     entropy_bits,
     load_amplitudes,
-    save_amplitudes,
 )
 from .tableau import (
     CliffordCircuit,
@@ -68,7 +67,6 @@ __all__ = [
     "multiply",
     "random_clifford_circuit",
     "row_reduce",
-    "save_amplitudes",
     "statevector_from_tableau",
     "summarize",
     "witness_long_range",

@@ -305,90 +305,34 @@ def _parse_h_grid(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-# the keys cmd_potts_sweep reads from a --config file
-SWEEP_CONFIG_KEYS = ("sizes", "h", "h_grid", "J", "gap_threshold", "tol", "granularity", "out")
-
-
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object's members; a key given twice is a configuration error."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ConfigurationError(f"bad sweep config: key {key!r} given twice")
-        obj[key] = value
-    return obj
-
-
 def cmd_potts_sweep(args) -> int:
-    cfg = {}
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                cfg = json.load(fh, object_pairs_hook=_unique_keys)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(f"bad sweep config: {exc}") from None
-        if not isinstance(cfg, dict):
-            raise ConfigurationError("bad sweep config: expected a JSON object")
-        unknown = [key for key in cfg if key not in SWEEP_CONFIG_KEYS]
-        if unknown:
-            raise ConfigurationError(
-                f"bad sweep config: unknown key(s) {', '.join(map(repr, unknown))}"
-                f" (expected {', '.join(SWEEP_CONFIG_KEYS)})"
-            )
-
-    def setting(flag, key, default):
-        """A flag that was given beats the config file, which beats the default."""
-        return flag if flag is not None else cfg.get(key, default)
-
-    def numbers(values, kind) -> bool:
-        return isinstance(values, list) and all(
-            isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v) for v in values
-        )
-
-    try:
-        sizes = setting(
-            None if args.sizes is None else [int(tok) for tok in args.sizes.split(",")],
-            "sizes",
-            [8, 10, 12],
-        )
-        fields = setting(None if args.h is None else _parse_h_grid(args.h), "h", None)
-        if fields is None:
-            fields = _parse_h_grid(cfg.get("h_grid", "0:0.8:17"))
-        coupling = float(setting(args.coupling, "J", 1.0))
-        gap_threshold = float(setting(args.gap_threshold, "gap_threshold", DEFAULT_GAP_THRESHOLD))
-        tol = float(setting(args.tol, "tol", GROUND_STATE_TOL))
-    except TypeError as exc:  # a JSON list or object where a string or number belongs
-        raise ConfigurationError(f"bad sweep config: {exc}") from None
-    if not numbers(sizes, int):
-        raise ConfigurationError(f"sweep sizes must be a list of integers, got {sizes!r}")
-    if not numbers(fields, (int, float)):
+    sizes = [int(tok) for tok in args.sizes.split(",")]
+    fields = _parse_h_grid(args.h)
+    if not all(math.isfinite(h) for h in fields):
         raise ConfigurationError(f"sweep h must be a list of finite numbers, got {fields!r}")
-    fields = [float(h) for h in fields]
-    if not sizes or not fields:
+    if not fields:
         raise ConfigurationError("empty sweep: no sizes or no field values")
-    if not numbers([gap_threshold], float):
-        raise ConfigurationError(f"sweep gap_threshold must be finite, got {gap_threshold!r}")
-    witness.check_tolerance(tol)
-    granularity = setting(args.granularity, "granularity", "qubit")
-    out = setting(args.out, "out", None)
-    if not isinstance(out, (str, type(None))):  # open() would take an int as a descriptor
-        raise ConfigurationError(f"sweep out must be a file name, got {out!r}")
+    if not math.isfinite(args.gap_threshold):
+        raise ConfigurationError(f"sweep gap_threshold must be finite, got {args.gap_threshold!r}")
+    witness.check_tolerance(args.tol)
     # every point is checked before the first (possibly long) solve
     for length in sizes:
         for h in fields:
-            models.potts_point_spec(length, h, coupling, granularity)
+            models.potts_point_spec(length, h, args.coupling, args.granularity)
 
-    rows = models.potts_sweep(sizes, fields, coupling, gap_threshold, tol, granularity)
+    rows = models.potts_sweep(
+        sizes, fields, args.coupling, args.gap_threshold, args.tol, args.granularity
+    )
     failures = sum(1 for r in rows if r.error is not None)
     if args.format == "json":
-        _emit(_json_text([r.to_dict() for r in rows]), out)
+        _emit(_json_text([r.to_dict() for r in rows]), args.out)
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(models.SWEEP_CSV_COLUMNS)
         for r in rows:
             writer.writerow(r.to_csv_row())
-        _emit(buf.getvalue(), out)
+        _emit(buf.getvalue(), args.out)
     if failures:
         sys.stderr.write(f"{failures} sweep point(s) failed; see error rows\n")
     return 0 if failures < len(rows) else NUMERICAL_EXIT
@@ -495,13 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mlgs)
 
     p = sub.add_parser("potts-sweep", help="field sweep of the Potts ground state")
-    p.add_argument("--config", help="JSON sweep config file")
-    p.add_argument("--sizes", help="comma-separated qubit chain lengths (L = 2N)")
-    p.add_argument("--h", help="field grid: start:stop:count or comma list")
-    p.add_argument("--J", dest="coupling", type=float, default=None)
-    p.add_argument("--gap-threshold", dest="gap_threshold", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--granularity", choices=("qubit", "qutrit"), default=None)
+    p.add_argument(
+        "--sizes", default="8,10,12", help="comma-separated qubit chain lengths (L = 2N)"
+    )
+    p.add_argument("--h", default="0:0.8:17", help="field grid: start:stop:count or comma list")
+    p.add_argument("--J", dest="coupling", type=float, default=1.0)
+    _add_analysis_args(p)
+    p.add_argument("--tol", type=float, default=GROUND_STATE_TOL)
+    p.add_argument("--granularity", choices=("qubit", "qutrit"), default="qubit")
     _add_output_args(p, ("csv", "json"), "csv")
     p.set_defaults(func=cmd_potts_sweep)
 

@@ -58,10 +58,6 @@ class PauliString:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, length: int) -> "PauliString":
-        return cls(length, 0, 0, 0)
-
-    @classmethod
     def single(cls, length: int, site: int, kind: str, phase_exp: int = 0) -> "PauliString":
         """One nonidentity letter (X, Y or Z) at ``site``."""
         if not 0 <= site < length:
@@ -106,11 +102,6 @@ class PauliString:
     @property
     def is_hermitian(self) -> bool:
         return self.phase_exp % 2 == 0
-
-    # -- algebra -----------------------------------------------------------
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
 
 
 def _check_lengths(a: PauliString, b: PauliString) -> None:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import infolattice
 from infolattice.models import TDopedCircuitSpec, t_doped_state
-from infolattice.states import save_amplitudes
+from infolattice.states import amplitudes_text
 
 SRC = str(Path(infolattice.__file__).resolve().parents[1])
 
@@ -79,7 +79,7 @@ def write_sources(tmp_path: Path) -> dict[str, str]:
         paths[key] = str(tmp_path / name)
     paths["amps"] = str(tmp_path / "amps.txt")
     spec = TDopedCircuitSpec(8, blocks=1, clifford_layers_per_block=4, seed=5, entangling_layers=1)
-    save_amplitudes(t_doped_state(spec), paths["amps"])
+    Path(paths["amps"]).write_text(amplitudes_text(t_doped_state(spec)), encoding="ascii")
     return paths
 
 

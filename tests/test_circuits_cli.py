@@ -18,7 +18,7 @@ from infolattice.cli import main
 from infolattice.errors import ConfigurationError, NonCliffordGateError, NumericalError
 from infolattice.models import reference_state
 from infolattice.pauli import PauliString
-from infolattice.states import PureState
+from infolattice.states import PureState, amplitudes_text
 from infolattice.tableau import (
     StabilizerTableau,
     random_clifford_circuit,
@@ -363,12 +363,10 @@ class TestCLI:
         assert len(lines) == 3
         assert lines[1].startswith("8,0.0,1.5849625007")
 
-    def test_potts_sweep_json_schema_and_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sizes": [8], "h": [0.0], "J": 1.0}))
+    def test_potts_sweep_json_schema(self, tmp_path):
         out = tmp_path / "sweep.json"
-        assert self.run("potts-sweep", "--config", str(cfg), "--format", "json",
-                        "--out", str(out)) == 0
+        assert self.run("potts-sweep", "--sizes", "8", "--h", "0.0", "--J", "1.0",
+                        "--format", "json", "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         validate(payload, "sweep_dump")
         assert payload[0]["origin"] == "not_applicable"  # L=8 gap too narrow
@@ -382,63 +380,37 @@ class TestCLI:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_potts_sweep_explicit_flag_beats_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sizes": [8], "h": [0.5], "gap_threshold": 0.9}))
-        out = tmp_path / "sweep.json"
-
-        def verdict(*flags):
-            argv = ["potts-sweep", "--config", str(cfg), "--format", "json", "--out", str(out)]
-            assert self.run(*argv, *flags) == 0
-            (row,) = json.loads(out.read_text())
-            return row["localized"], row["long_range_witnessed"]
-
-        assert verdict() == (True, True)  # the config's threshold
-        # the default value, given explicitly, beats the config too
-        assert verdict("--gap-threshold", "0.001") == (False, False)
-        assert verdict("--gap-threshold", "0.0010001") == (False, False)
-
     @pytest.mark.parametrize(
-        "flags,config",
+        "flags",
         [
-            (["--sizes", "8", "--h", "0:0.8:0"], None),
-            (["--sizes", "8", "--h", ","], None),
-            ([], {"sizes": [], "h": [0.1]}),
-            ([], {"sizes": [8], "h": []}),
+            ["--sizes", "8", "--h", "0:0.8:0"],
+            ["--sizes", "8", "--h", ","],
+            ["--h", ""],
         ],
     )
-    def test_empty_sweep_is_configuration_error(self, tmp_path, capsys, flags, config):
-        if config is not None:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(config))
-            flags = [*flags, "--config", str(path)]
+    def test_empty_sweep_is_configuration_error(self, capsys, flags):
         assert self.run("potts-sweep", *flags) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "empty sweep" in captured.err
 
     @pytest.mark.parametrize(
-        "argv,config",
+        "argv",
         [
-            (["witness", "--state", "neel", "--L", "4", "--tol", "nan"], None),
-            (["witness", "--state", "neel", "--L", "4", "--tol", "inf"], None),
-            (["witness", "--state", "neel", "--L", "4", "--tol", "0"], None),
-            (["witness", "--state", "neel", "--L", "4", "--gap-threshold", "nan"], None),
-            (["lattice", "--state", "neel", "--L", "4", "--tol=-1e-6"], None),
-            (["lattice", "--state", "neel", "--L", "4", "--gap-threshold", "nan"], None),
-            (["summarize", "--state", "neel", "--L", "4", "--gap-threshold", "inf"], None),
-            (["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "0"], None),
-            (["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "nan"], None),
-            (["potts-sweep", "--sizes", "8", "--h", "0.1", "--gap-threshold=-inf"], None),
-            (["potts-sweep"], {"sizes": [8], "h": [0.1], "tol": float("inf")}),
-            (["potts-sweep"], {"sizes": [8], "h": [0.1], "gap_threshold": float("nan")}),
+            ["witness", "--state", "neel", "--L", "4", "--tol", "nan"],
+            ["witness", "--state", "neel", "--L", "4", "--tol", "inf"],
+            ["witness", "--state", "neel", "--L", "4", "--tol", "0"],
+            ["witness", "--state", "neel", "--L", "4", "--gap-threshold", "nan"],
+            ["lattice", "--state", "neel", "--L", "4", "--tol=-1e-6"],
+            ["lattice", "--state", "neel", "--L", "4", "--gap-threshold", "nan"],
+            ["summarize", "--state", "neel", "--L", "4", "--gap-threshold", "inf"],
+            ["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "0"],
+            ["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "nan"],
+            ["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "inf"],
+            ["potts-sweep", "--sizes", "8", "--h", "0.1", "--gap-threshold=-inf"],
+            ["potts-sweep", "--sizes", "8", "--h", "0.1", "--gap-threshold", "nan"],
         ],
     )
-    def test_bad_tolerance_exits_config(self, tmp_path, capsys, monkeypatch, argv, config):
-        if config is not None:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(config))
-            argv = [*argv, "--config", str(path)]
-
+    def test_bad_tolerance_exits_config(self, capsys, monkeypatch, argv):
         def unreachable(*args, **kwargs):
             raise AssertionError("a point was solved")
 
@@ -449,31 +421,31 @@ class TestCLI:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
-        "flags,config",
+        "flags",
         [
-            ([], {"sizes": 8, "h": [0.1]}),
-            ([], {"sizes": [8], "h": 0.5}),
-            (["--sizes", "7", "--h", "0.1"], None),
-            (["--sizes", "8", "--h", "-0.1"], None),
-            (["--sizes", "8", "--h", "0.1"], {"granularity": "bogus"}),
-            (["--sizes", "8", "--h", "0.1"], {"out": 1}),
-            # misspelled keys used to be ignored, running the default grid with J = 1
-            pytest.param([], {"sizes": [4], "field": [0.3], "coupling": 0.5}, id="unknown-keys"),
-            pytest.param([], '{"sizes": [4], "h": [0.3], "J": 0.5, "J": 1.0}', id="repeated-key"),
+            ["--sizes", "7", "--h", "0.1"],
+            ["--sizes", "8", "--h", "-0.1"],
+            ["--sizes", "8.5", "--h", "0.1"],
+            ["--sizes", "", "--h", "0.1"],  # no sizes at all
+            ["--sizes", "8", "--h", "nan"],
+            ["--sizes", "8", "--h", "0:nan:3"],
         ],
     )
-    def test_sweep_configuration_error_before_solving(self, tmp_path, flags, config):
+    def test_sweep_configuration_error_before_solving(self, tmp_path, flags):
         out = tmp_path / "sweep.csv"
-        if config is not None:
-            path = tmp_path / "cfg.json"
-            path.write_text(config if isinstance(config, str) else json.dumps(config))
-            flags = [*flags, "--config", str(path)]
-        if "out" not in (config or {}):  # a given --out would beat the config's
-            flags = [*flags, "--out", str(out)]
-        proc = run_python("-m", "infolattice.cli", "potts-sweep", *flags)
+        proc = run_python("-m", "infolattice.cli", "potts-sweep", *flags, "--out", str(out))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == "" and proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_unknown_granularity_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["potts-sweep", "--sizes", "8", "--h", "0.1", "--granularity", "bogus"]
+        with pytest.raises(SystemExit) as exc:
+            self.run(*argv, "--out", str(out))
+        assert exc.value.code == 2
+        assert "argument --granularity: invalid choice: 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cli_import_leaves_scipy_out(self):
@@ -517,10 +489,8 @@ class TestCLI:
         assert "Traceback" not in captured.err
 
     def test_amplitude_source(self, tmp_path):
-        from infolattice import save_amplitudes
-
         path = tmp_path / "bell.txt"
-        save_amplitudes(reference_state("bell", 4), str(path))
+        path.write_text(amplitudes_text(reference_state("bell", 4)), encoding="ascii")
         out = tmp_path / "bell.json"
         assert self.run("lattice", "--amplitudes", str(path), "--out", str(out)) == 0
         payload = json.loads(out.read_text())
@@ -664,6 +634,7 @@ class TestCLI:
         ("circuit-run", ["--state", "ghz"]),
         ("circuit-run", ["--amplitudes", "{amps}"]),
         ("potts-sweep", ["--seed", "1"]),
+        ("potts-sweep", ["--config", "c.json"]),
     ]
 
     @pytest.mark.parametrize(

@@ -249,7 +249,7 @@ def generator_sets(draw):
     variant = st.one_of(
         member,
         products(member, length),
-        st.just(PauliString.identity(length)),
+        st.just(PauliString(length, 0, 0)),
         member.map(lambda g: PauliString(length, g.x, g.z, g.phase_exp + 2)),
     )
     gens = list(draw(st.permutations(group)))

@@ -17,11 +17,11 @@ from infolattice.lattice import fold
 from infolattice.pauli import SupportInterval
 from infolattice.states import (
     PureState,
+    amplitudes_text,
     apply_pauli,
     entropy_bits,
     haar_random_state,
     load_amplitudes,
-    save_amplitudes,
 )
 
 SQ2 = 1 / np.sqrt(2)
@@ -98,10 +98,21 @@ class TestApplyUnitary:
         expected[0] = expected[15] = SQ2
         np.testing.assert_allclose(s.amps, expected, atol=1e-15)
 
-    def test_non_unitary_rejected(self):
-        s = PureState.from_label("00")
-        with pytest.raises(ValueError):
-            s.apply_unitary(np.array([[1, 0], [0, 2.0]]), 0)
+    @pytest.mark.parametrize("label", ["0", "1"])
+    @pytest.mark.parametrize(
+        "u",
+        [
+            np.diag([1.0, 2.0]),
+            # 1e-6 off unitary: within the default rtol of np.allclose
+            np.diag([1 + 1e-6, 1.0]),
+            np.diag([1.0, 1 + 1e-6]),
+            np.diag([1.0, np.nan]),
+        ],
+        ids=["diag2", "diag0-1e-6", "diag1-1e-6", "nan"],
+    )
+    def test_non_unitary_rejected(self, label, u):
+        with pytest.raises(ValueError, match="not unitary within 1e-10"):
+            PureState.from_label(label).apply_unitary(u, 0)
 
     def test_bad_block_rejected(self):
         s = PureState.computational((2, 3), (0, 0))
@@ -274,7 +285,7 @@ class TestMirrorAndIO:
         rng = np.random.default_rng(6)
         s = haar_random_state((2, 3, 2), rng)
         path = tmp_path / "state.txt"
-        save_amplitudes(s, str(path))
+        path.write_text(amplitudes_text(s), encoding="ascii")
         back = load_amplitudes(str(path))
         assert back.dims == s.dims
         np.testing.assert_array_equal(back.amps, s.amps)  # repr roundtrip is exact

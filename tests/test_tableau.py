@@ -207,7 +207,7 @@ class TestGHZGroup:
         psi = statevector_from_tableau(t)
         gens = t.generators
         for mask in range(16):
-            g = PauliString.identity(4)
+            g = PauliString(4, 0, 0)
             for k in range(4):
                 if (mask >> k) & 1:
                     g = multiply(g, gens[k])
@@ -223,7 +223,7 @@ class TestGHZGroup:
         gens = t.generators
         full = 0
         for mask in range(1, 16):
-            g = PauliString.identity(4)
+            g = PauliString(4, 0, 0)
             for k in range(4):
                 if (mask >> k) & 1:
                     g = multiply(g, gens[k])
