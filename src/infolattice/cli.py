@@ -308,10 +308,11 @@ def _parse_h_grid(text: str) -> list[float]:
 def cmd_potts_sweep(args) -> int:
     sizes = [int(tok) for tok in args.sizes.split(",")]
     fields = _parse_h_grid(args.h)
-    if not all(math.isfinite(h) for h in fields):
-        raise ConfigurationError(f"sweep h must be a list of finite numbers, got {fields!r}")
     if not fields:
         raise ConfigurationError("empty sweep: no sizes or no field values")
+    for flag, values in (("--sizes", sizes), ("--h", fields)):
+        for value in (v for i, v in enumerate(values) if v in values[:i]):
+            raise ConfigurationError(f"sweep {flag} gives {value!r} twice")
     if not math.isfinite(args.gap_threshold):
         raise ConfigurationError(f"sweep gap_threshold must be finite, got {args.gap_threshold!r}")
     witness.check_tolerance(args.tol)

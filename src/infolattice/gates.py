@@ -3,7 +3,8 @@
 The tableau rules act on bit planes: one packed int per site holding that
 site's X (or Z) bit of every Pauli row, plus one sign mask, so a gate costs a
 few big-int operations whatever the number of rows (the column-packed update
-of Aaronson & Gottesman, quant-ph/0406196).  Dense matrices follow the global
+of Aaronson & Gottesman, quant-ph/0406196), and so does a two-qubit Clifford
+``(k, (a, b))``, from its bit-plane map.  Dense matrices follow the global
 convention that lower site indices are more significant tensor factors.
 """
 
@@ -17,6 +18,7 @@ from .errors import NonCliffordGateError
 
 CLIFFORD_GATES = {"H": 1, "S": 1, "X": 1, "Z": 1, "CNOT": 2, "CZ": 2}
 NON_CLIFFORD_GATES = {"T": 1}
+TWO_QUBIT_COUNT = 11520  # gate (k, (a, b)): element k of the two-qubit Clifford group
 GATE_ARITY = {**CLIFFORD_GATES, **NON_CLIFFORD_GATES}
 
 Gate = tuple  # (name, (qubits...))
@@ -28,14 +30,18 @@ def check_gates(circuit: Iterable[Gate], length: int, arity: dict[str, int]) -> 
 
     A name outside ``arity`` raises NonCliffordGateError when ``arity`` is the
     Clifford set (the tableau cannot run it) and ValueError otherwise; a wrong
-    arity or a repeated qubit raises ValueError, a qubit out of range IndexError.
+    arity, a repeated qubit or a Clifford gate ``(k, (a, b))`` with k outside
+    [0, TWO_QUBIT_COUNT) raises ValueError, a qubit out of range IndexError.
     """
     for name, qubits in circuit:
-        if name not in arity:
+        pair = isinstance(name, int) and arity is CLIFFORD_GATES
+        if pair and not 0 <= name < TWO_QUBIT_COUNT:
+            raise ValueError(f"two-qubit Clifford {name} is outside [0, {TWO_QUBIT_COUNT})")
+        if not pair and name not in arity:
             error = NonCliffordGateError if arity is CLIFFORD_GATES else ValueError
             raise error(f"gate {name!r} is not in the gate set {sorted(arity)}")
-        if len(qubits) != arity[name]:
-            raise ValueError(f"gate {name} expects {arity[name]} qubit(s), got {len(qubits)}")
+        if len(qubits) != (need := arity.get(name, 2)):
+            raise ValueError(f"gate {name} expects {need} qubit(s), got {len(qubits)}")
         for q in qubits:
             if not 0 <= q < length:
                 raise IndexError(f"gate {name}: qubit {q} out of range (L={length})")
@@ -76,6 +82,24 @@ def conjugate_columns(
         zcols[b] ^= xcols[a]
     else:
         raise NonCliffordGateError(f"gate {name!r} is not in the Clifford set")
+    return sign
+
+
+def conjugate_pair(
+    xcols: list[int], zcols: list[int], sign: int, pair_map: tuple, a: int, b: int
+) -> int:
+    """Conjugate every row by a ``cliffords.pair_maps`` map on sites a, b; returns the sign."""
+    m0, m1, m2, m3, monomials = pair_map
+    xa, xb, za, zb = xcols[a], xcols[b], zcols[a], zcols[b]
+    xx, zz = xa ^ xb, za ^ zb  # tables of the XOR, then the AND, of each subset
+    parity = (0, xa, xb, xx, za, xa ^ za, xb ^ za, xx ^ za,
+              zb, xa ^ zb, xb ^ zb, xx ^ zb, zz, xa ^ zz, xb ^ zz, xx ^ zz)
+    xcols[a], xcols[b], zcols[a], zcols[b] = parity[m0], parity[m1], parity[m2], parity[m3]
+    xx, zz = xa & xb, za & zb
+    product = (0, xa, xb, xx, za, xa & za, xb & za, xx & za,
+               zb, xa & zb, xb & zb, xx & zb, zz, xa & zz, xb & zz, xx & zz)
+    for m in monomials:
+        sign ^= product[m]
     return sign
 
 

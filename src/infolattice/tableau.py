@@ -4,14 +4,14 @@ exact integer information lattice, and maximally local generating sets.
 A tableau holds L independent commuting Hermitian generators; |0...0> is
 generated by {Z_0, ..., Z_{L-1}}.  Tableaux are never mutated: evolution
 returns a new one and runs on per-site X/Z bit planes of the rows (Aaronson
-& Gottesman, quant-ph/0406196).  Everything else comes from the clipped
-gauge (Nahum, Ruhman, Vijay & Haah, PRX 7, 031016), cached per tableau: a
-signed generating set in which at most two generators start, and at most two
-end, on any site, with independent single-site operators there.  The
-subgroup supported on an interval is generated by the gauge generators
-inside it, so interval entropies |A| - rank(S_A) and the integer lattice
-follow by counting, and ``restrict_subgroup`` reduces only those
-generators, over the interval's columns.
+& Gottesman, quant-ph/0406196), a two-qubit Clifford in one step.  All else
+comes from the clipped gauge (Nahum, Ruhman, Vijay & Haah, PRX 7, 031016),
+cached per tableau: a signed generating set in which at most two generators
+start, and at most two end, on any site, with independent single-site
+operators there.  The subgroup supported on an interval is generated by the
+gauge generators inside it, so interval entropies |A| - rank(S_A) and the
+integer lattice follow by counting, and ``restrict_subgroup`` reduces only
+those generators, over the interval's columns.
 """
 
 from __future__ import annotations
@@ -107,9 +107,10 @@ class StabilizerTableau:
     def apply_circuit(self, circuit: Iterable[gates.Gate]) -> "StabilizerTableau":
         """New tableau with every generator conjugated by each gate in turn.
 
-        The rows are transposed once into per-site bit planes, so that a gate
-        costs a few big-int operations instead of one update per row.  Each
-        distinct gate is checked once, before the first one is applied.
+        The rows are transposed once into per-site bit planes, so that a gate,
+        also ``(k, (a, b))`` (element k of the two-qubit Clifford group on sites
+        a, b), costs a few big-int operations instead of one update per row.
+        Each distinct gate is checked once, before the first one is applied.
         """
         circuit = [(name, tuple(qubits)) for name, qubits in circuit]
         gates.check_gates(dict.fromkeys(circuit), self.length, gates.CLIFFORD_GATES)
@@ -118,7 +119,11 @@ class StabilizerTableau:
         zcols = _transpose(self._zs, self.length)
         odd, sign = _transpose(self._ph, 2)
         for name, qubits in circuit:
-            sign = gates.conjugate_columns(xcols, zcols, sign, name, qubits)
+            if isinstance(name, int):
+                pair_map = cliffords.pair_maps()[name]
+                sign = gates.conjugate_pair(xcols, zcols, sign, pair_map, *qubits)
+            else:
+                sign = gates.conjugate_columns(xcols, zcols, sign, name, qubits)
         return StabilizerTableau(
             self.length, _transpose(xcols, n), _transpose(zcols, n), _transpose([odd, sign], n)
         )
@@ -347,19 +352,10 @@ class CliffordCircuit:
     length: int
     assignments: tuple[tuple[tuple[tuple[int, int], int], ...], ...]
 
-    def gate_sequence(self) -> list[gates.Gate]:
-        """Elementary-gate expansion of the whole circuit."""
-        seq: list[gates.Gate] = []
-        for layer in self.assignments:
-            for (a, b), idx in layer:
-                bond = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
-                seq += [(name, bond[qs]) for name, qs in cliffords.clifford_word(2, idx)]
-        return seq
-
     def apply_to_tableau(self, t: StabilizerTableau) -> StabilizerTableau:
         if t.length != self.length:
             raise DimensionMismatchError("circuit and tableau lengths differ")
-        return t.apply_circuit(self.gate_sequence())
+        return t.apply_circuit((idx, bond) for layer in self.assignments for bond, idx in layer)
 
 
 def brickwork_bonds(length: int, layer: int) -> list[tuple[int, int]]:

@@ -1,6 +1,6 @@
-"""Shared helpers: dense oracles for Pauli strings and brickwork circuits,
-the site reflection, Pauli spans and supports, the canonical random-circuit
-ensemble."""
+"""Shared helpers: dense and elementary-gate oracles for brickwork circuits,
+a dense oracle for Pauli strings, the site reflection, Pauli spans and
+supports, the canonical random-circuit ensemble."""
 
 from __future__ import annotations
 
@@ -47,6 +47,17 @@ def apply_brickwork_dense(circuit: CliffordCircuit, state: PureState) -> PureSta
         for (a, _), idx in layer:
             state = state.apply_unitary(cliffords.clifford_matrix(2, idx), a)
     return state
+
+
+def elementary_gates(circuit: CliffordCircuit) -> list[tuple]:
+    """Oracle for ``apply_to_tableau``: each two-qubit Clifford expanded into
+    its enumeration word of elementary gates."""
+    seq = []
+    for layer in circuit.assignments:
+        for (a, b), idx in layer:
+            bond = {(0,): (a,), (1,): (b,), (0, 1): (a, b), (1, 0): (b, a)}
+            seq += [(name, bond[qs]) for name, qs in cliffords.clifford_word(2, idx)]
+    return seq
 
 
 def mirror_state(state: PureState) -> PureState:

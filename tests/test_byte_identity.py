@@ -8,7 +8,8 @@ set covers every subcommand and Potts ground states at N = 7, 8 and 9
 takes reduced density matrices of side up to 512 from a blocked BLAS product.
 Mirror-symmetric states (the Potts chains, GHZ at odd L) take the half-lattice
 path and asymmetric ones (Neel at even L) the full one; a sweep that returns to
-an earlier N reuses that N's cached Potts index tables.
+an earlier N reuses that N's cached Potts index tables.  A sweep that repeats a
+size must be rejected with the same error line in both processes.
 """
 
 import json
@@ -59,7 +60,10 @@ INVOCATIONS = [
     ["lattice", "--state", "ghz", "--L", "7"],
     ["summarize", "--state", "neel", "--L", "6"],
     ["potts-sweep", "--sizes", "8,6", "--h", "0,0.4", "--format", "json"],
+    ["potts-sweep", "--sizes", "8,8", "--h", "0.3"],
 ]
+# invocations that must exit 2 with one error line and print nothing else
+REJECTED = [["potts-sweep", "--sizes", "8,8", "--h", "0.3"]]
 
 
 def write_sources(tmp_path: Path) -> dict[str, str]:
@@ -111,6 +115,9 @@ def test_fresh_processes_print_identical_bytes(tmp_path):
         assert proc.returncode == 0, err.decode()
         runs.append(json.loads(out))
     for argv, one, two in zip(INVOCATIONS, *runs, strict=True):
-        assert one[0] == 0 and one[1], (argv, one)
+        if argv in REJECTED:
+            assert one[0] == 2 and not one[1] and one[2].startswith("error:"), (argv, one)
+        else:
+            assert one[0] == 0 and one[1], (argv, one)
         assert one == two, f"{argv} printed different bytes in the two processes"
 

@@ -439,6 +439,23 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,repeat",
+        [
+            (["--sizes", "8,6,8", "--h", "0.3"], "--sizes gives 8 twice"),
+            (["--sizes", "8", "--h", "0.3,0.30"], "--h gives 0.3 twice"),
+            (["--sizes", "8", "--h", "0:0:2"], "--h gives 0.0 twice"),
+        ],
+    )
+    def test_repeated_sweep_value_exits_config(self, capsys, monkeypatch, flags, repeat):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(models, "symmetric_ground_state", unreachable)
+        assert self.run("potts-sweep", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: sweep {repeat}\n"
+
     def test_unknown_granularity_exits_config(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         argv = ["potts-sweep", "--sizes", "8", "--h", "0.1", "--granularity", "bogus"]
@@ -713,14 +730,23 @@ def test_apply_circuit_checks_distinct_gates_once(monkeypatch):
         return real(checked[-1], length, arity)
 
     monkeypatch.setattr(gates, "check_gates", counting)
-    sequence = random_clifford_circuit(16, 16, 5).gate_sequence()
-    StabilizerTableau.zero_state(16).apply_circuit(sequence)
-    assert len(checked) == 1
-    assert len(checked[0]) == len(set(sequence)) < len(sequence)
-
-    # one bad gate at the end of a 10,000-gate circuit is still rejected
+    # one two-qubit Clifford gate (index, bond) per bond, repeated to 10,000 gates
+    circuit = random_clifford_circuit(16, 16, 5)
+    sequence = [(idx, bond) for layer in circuit.assignments for bond, idx in layer]
     body = (sequence * (10_000 // len(sequence) + 1))[:10_000]
-    for bad, error in ((("CNOT", (4, 4)), ValueError), (("H", (16,)), IndexError)):
+    StabilizerTableau.zero_state(16).apply_circuit(body)
+    assert len(checked) == 1
+    assert len(checked[0]) == len(set(sequence)) < len(body)
+
+    # one bad gate at the end of the circuit is still rejected
+    bad_gates = (
+        ((4, (4, 4)), ValueError),
+        ((gates.TWO_QUBIT_COUNT, (4, 5)), ValueError),
+        ((4, (15, 16)), IndexError),
+        (("CNOT", (4, 4)), ValueError),
+        (("H", (16,)), IndexError),
+    )
+    for bad, error in bad_gates:
         checked.clear()
         with pytest.raises(error):
             StabilizerTableau.zero_state(16).apply_circuit(body + [bad])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import dense_pauli
-from infolattice import cliffords
+from infolattice import cliffords, gates
 from infolattice.pauli import PauliString
 from infolattice.tableau import StabilizerTableau
 
@@ -89,3 +89,26 @@ WORD_TABLE_SHA256 = {
 def test_word_tables_pinned(n):
     digest = hashlib.sha256(repr(cliffords._words(n)).encode()).hexdigest()
     assert digest == WORD_TABLE_SHA256[n]
+
+
+def test_pair_maps_match_words():
+    # rows 0-15 hold all sixteen Pauli patterns on sites a = 2, b = 0 and
+    # random letters on site 1; each map must agree with its word, signs
+    # included, and leave site 1 alone
+    a, b = 2, 0
+    rng = np.random.default_rng(5)
+    pattern = [sum(1 << p for p in range(16) if p >> bit & 1) for bit in range(4)]
+    xcols, zcols = [0, 0, 0], [0, 0, 0]
+    xcols[a], xcols[b], zcols[a], zcols[b] = pattern
+    xcols[1], zcols[1] = (int(v) for v in rng.integers(0, 1 << 16, 2))
+    start = int(rng.integers(0, 1 << 16))
+    maps = cliffords.pair_maps()
+    assert len(maps) == cliffords.group_size(2)
+    for k in range(cliffords.group_size(2)):
+        wx, wz = list(xcols), list(zcols)
+        sign = start
+        for name, qubits in cliffords.clifford_word(2, k):
+            sign = gates.conjugate_columns(wx, wz, sign, name, tuple((a, b)[q] for q in qubits))
+        px, pz = list(xcols), list(zcols)
+        assert gates.conjugate_pair(px, pz, start, maps[k], a, b) == sign
+        assert (px, pz) == (wx, wz)

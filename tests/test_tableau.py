@@ -10,12 +10,13 @@ import pytest
 from conftest import (
     apply_brickwork_dense,
     dense_pauli,
+    elementary_gates,
     ensemble_specs,
     random_pauli,
     span,
     support_ends,
 )
-from infolattice import _kernels
+from infolattice import _kernels, gates
 from infolattice.errors import (
     MemoryCapError,
     NonCliffordGateError,
@@ -109,6 +110,22 @@ class TestCliffordConjugation:
         with pytest.raises(ValueError):
             t.apply_circuit([("CNOT", (1, 1))])
 
+    @pytest.mark.parametrize(
+        "gate,error",
+        [
+            ((-1, (0, 1)), ValueError),
+            ((gates.TWO_QUBIT_COUNT, (0, 1)), ValueError),
+            ((7, (2, 2)), ValueError),
+            ((7, (1, 3)), IndexError),
+            ((7, (-1, 0)), IndexError),
+            ((7, (0,)), ValueError),
+        ],
+    )
+    def test_two_qubit_clifford_validation(self, gate, error):
+        t = StabilizerTableau.zero_state(3)
+        with pytest.raises(error):
+            t.apply_circuit([("H", (0,)), gate])
+
 
 def conjugate_rows(xs, zs, ph, name, qubits):
     """Per-row conjugation rules, in place: the oracle for bit-plane evolution."""
@@ -193,6 +210,16 @@ class TestBitPlaneEvolution:
             out = t.apply_circuit(circuit)
             assert [(g.x, g.z, g.phase_exp) for g in out.generators] == list(zip(ox, oz, op))
             assert t.generators == before  # the input tableau is untouched
+
+    @pytest.mark.parametrize("L", [2, 3, 8, 33, 63, 64, 65, 200])
+    def test_two_qubit_cliffords_match_their_words(self, L):
+        gen = random.Random(L)
+        xs = [gen.getrandbits(L) for _ in range(L)]
+        zs = [gen.getrandbits(L) for _ in range(L)]
+        ph = [gen.randrange(4) for _ in range(L)]  # signs and odd phases ride along
+        t = StabilizerTableau(L, xs, zs, ph)
+        circuit = random_clifford_circuit(L, 12, L)
+        assert circuit.apply_to_tableau(t) == t.apply_circuit(elementary_gates(circuit))
 
 
 class TestGHZGroup:
