@@ -4,7 +4,8 @@ Gate files are line oriented: one gate per line (``H 0``, ``CNOT 0 1``,
 ``T 3``); ``LAYER`` lines (layer separators, read by no consumer), ``#``
 comments and blank lines are ignored.  Generator files carry one signed
 Pauli string per line (the same format the tableau dump emits).  JSON files
-describe seeded random circuit families instead of explicit gate lists.
+describe seeded random circuit families instead of explicit gate lists; each
+spec carries its own length and seed, which nothing overrides.
 Gates are checked once, by :func:`gates.check_gates`, in the engine that
 runs them.
 """
@@ -132,14 +133,13 @@ def format_tableau(t: StabilizerTableau) -> str:
 # JSON circuit-family specs
 
 
-def parse_circuit_spec(
-    text: str, seed_override: Optional[int] = None
-) -> tuple[str, object]:
+def parse_circuit_spec(text: str) -> tuple[str, object]:
     """Parse a JSON random-circuit family spec.
 
     Returns ``("t_doped", TDopedCircuitSpec)`` or
     ``("random_clifford", (L, layers, seed))``.  Every key must be known to
-    the family and every value a JSON integer; ``L`` and a seed are required.
+    the family and every value a JSON integer; ``L`` and ``seed`` are required,
+    so the spec alone fixes the state.
     """
     try:
         raw = json.loads(text)
@@ -148,10 +148,6 @@ def parse_circuit_spec(
     if not isinstance(raw, dict) or "type" not in raw:
         raise ConfigurationError("circuit spec needs a 'type' field")
     kind = raw.pop("type")
-    if seed_override is not None:
-        raw["seed"] = seed_override
-    if raw.get("seed") is None:
-        raise ConfigurationError("randomized circuit spec needs a seed")
     if kind == "t_doped":
         known = ["L"] + [f.name for f in fields(models.TDopedCircuitSpec) if f.name != "length"]
     elif kind == "random_clifford":
@@ -163,16 +159,15 @@ def parse_circuit_spec(
             raise ConfigurationError(f"unknown key {key!r} in {kind} circuit spec")
         if not isinstance(value, int) or isinstance(value, bool):
             raise ConfigurationError(f"circuit spec key {key!r} must be an integer, got {value!r}")
-    if "L" not in raw:
-        raise ConfigurationError(f"{kind} circuit spec needs the key 'L'")
+    for key in ("L", "seed"):
+        if key not in raw:
+            raise ConfigurationError(f"{kind} circuit spec needs the key {key!r}")
     if kind == "t_doped":
         return kind, models.TDopedCircuitSpec(raw.pop("L"), **raw)
     return kind, (raw["L"], raw.get("layers", 2), raw["seed"])
 
 
-def load_circuit_file(
-    path: str, seed_override: Optional[int] = None
-) -> tuple[str, object]:
+def load_circuit_file(path: str) -> tuple[str, object]:
     """Classify and parse a circuit-source file.
 
     Returns one of ``("gates", list)``, ``("generators", list)``,
@@ -180,9 +175,8 @@ def load_circuit_file(
     """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return parse_circuit_spec(text, seed_override)
+    if text.lstrip().startswith("{"):
+        return parse_circuit_spec(text)
     if looks_like_generators(text):
         return "generators", parse_generator_lines(text)
     return "gates", parse_circuit_text(text)

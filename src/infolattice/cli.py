@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: lattice, summarize, fold, witness, mlgs, potts-sweep,
-circuit-run; each parses only the flags it reads.  Exactly one state source
-per invocation (named reference, circuit file, amplitude file, or Potts
-spec); all randomness flows from the given seed, so outputs are
-byte-identical across runs.  Exit codes: 0 on success, 2 on configuration
-errors, 3 on numerical failures (running out of memory included).
+circuit-run; each parses only the flags it reads, one flag per value.
+Exactly one state source per invocation (named reference, circuit file,
+amplitude file, or Potts spec).  ``--L`` is read by named references and gate
+files only; the other sources fix their own length and reject it.  A random
+circuit spec carries its own seed, so outputs are byte-identical across runs.
+Exit codes: 0 on success, 2 on configuration errors, 3 on numerical failures
+(running out of memory included).
 """
 
 from __future__ import annotations
@@ -14,20 +16,17 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from typing import Optional
 
 import numpy as np
 
-from . import circuits, models, witness
+from . import circuits, models
 from .errors import (
+    NUMERICAL_FAILURES,
     ConfigurationError,
     DimensionMismatchError,
-    MemoryCapError,
     NonCliffordGateError,
-    NumericalError,
-    TableauConsistencyError,
 )
 from .lattice import (
     DEFAULT_GAP_THRESHOLD,
@@ -159,6 +158,12 @@ def _reference(args: argparse.Namespace, build):
     return build(args.state, args.length)
 
 
+def _reject_length(args: argparse.Namespace, source: str) -> None:
+    """Raise if --L is given to a source that fixes its own length."""
+    if args.length is not None:
+        raise ConfigurationError(f"--L is read only with --state or a gate file, not with {source}")
+
+
 def _check_one_source(args: argparse.Namespace) -> None:
     """Raise unless exactly one of the subcommand's state source flags is given."""
     flags = [f for f in ("state", "circuit", "amplitudes", "potts") if hasattr(args, f)]
@@ -173,8 +178,10 @@ def load_state(args: argparse.Namespace) -> PureState:
     if args.state is not None:
         return _reference(args, models.reference_state)
     if args.amplitudes is not None:
+        _reject_length(args, "--amplitudes")
         return load_amplitudes(args.amplitudes)
     if args.potts is not None:
+        _reject_length(args, "--potts")
         spec = _parse_potts_arg(args.potts)
         try:
             n = int(spec["N"])
@@ -184,35 +191,39 @@ def load_state(args: argparse.Namespace) -> PureState:
             raise ConfigurationError(f"bad potts spec: {exc}") from None
         gs, _ = models.symmetric_ground_state(models.PottsSpec(n, j, h))
         return models.embed_qutrit_to_spins(gs)
-
-    kind, payload = circuits.load_circuit_file(args.circuit, args.seed)
-    t = _source_tableau(kind, payload, args.length)
-    if t is not None:
-        return statevector_from_tableau(t)
-    return _dense_source_state(kind, payload, args.length)
+    source = load_circuit(args)
+    if isinstance(source, StabilizerTableau):
+        return statevector_from_tableau(source)
+    return source
 
 
-def _source_tableau(
-    kind: str, payload, length: Optional[int]
-) -> Optional[StabilizerTableau]:
-    """Tableau of a Clifford circuit-file source; None for a non-Clifford one."""
+def load_circuit(
+    args: argparse.Namespace, clifford_only: bool = False
+) -> StabilizerTableau | PureState:
+    """The --circuit source: its tableau if it is Clifford, else its dense state.
+
+    With ``clifford_only`` a non-Clifford source raises NonCliffordGateError
+    before any dense state is built.
+    """
+    kind, payload = circuits.load_circuit_file(args.circuit)
+    if kind != "gates":
+        _reject_length(args, f"a {kind} circuit file")
     if kind == "generators":
         return StabilizerTableau.from_generators(payload)
-    if kind == "gates" and circuits.circuit_is_clifford(payload):
-        return circuits.run_circuit_tableau(payload, length)
     if kind == "random_clifford":
         length, layers, seed = payload
         return random_clifford_circuit(length, layers, seed).apply_to_tableau(
             StabilizerTableau.zero_state(length)
         )
-    return None
-
-
-def _dense_source_state(kind: str, payload, length: Optional[int]) -> PureState:
-    """Dense state of a non-Clifford circuit-file source."""
+    if kind == "gates" and circuits.circuit_is_clifford(payload):
+        return circuits.run_circuit_tableau(payload, args.length)
+    if clifford_only:
+        raise NonCliffordGateError(
+            f"{args.command} needs a stabilizer state; the circuit source is not Clifford"
+        )
     if kind == "t_doped":
         return models.t_doped_state(payload)
-    return circuits.run_circuit_dense(payload, length)
+    return circuits.run_circuit_dense(payload, args.length)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +268,7 @@ def cmd_witness(args) -> int:
     # origin classification always wants the folded total
     _, summary = analyze(state, args.gap_threshold, with_fold=True)
     verdict = witness_long_range(summary, _tol(args))
-    if args.format == "json":
+    if args.json:
         _emit(_json_text(verdict.to_dict()), args.out)
     else:
         _emit(verdict.one_line() + "\n", args.out)
@@ -269,14 +280,9 @@ def cmd_mlgs(args) -> int:
     if args.state is not None:
         t = _reference(args, models.reference_tableau)
     else:
-        kind, payload = circuits.load_circuit_file(args.circuit, args.seed)
-        t = _source_tableau(kind, payload, args.length)
-        if t is None:
-            raise NonCliffordGateError(
-                "mlgs needs a stabilizer state; the circuit source is not Clifford"
-            )
+        t = load_circuit(args, clifford_only=True)
     entries = t.maximally_local_generating_set()
-    if args.format == "json":
+    if args.json:
         payload = {
             "L": t.length,
             "generators": [
@@ -313,14 +319,6 @@ def cmd_potts_sweep(args) -> int:
     for flag, values in (("--sizes", sizes), ("--h", fields)):
         for value in (v for i, v in enumerate(values) if v in values[:i]):
             raise ConfigurationError(f"sweep {flag} gives {value!r} twice")
-    if not math.isfinite(args.gap_threshold):
-        raise ConfigurationError(f"sweep gap_threshold must be finite, got {args.gap_threshold!r}")
-    witness.check_tolerance(args.tol)
-    # every point is checked before the first (possibly long) solve
-    for length in sizes:
-        for h in fields:
-            models.potts_point_spec(length, h, args.coupling, args.granularity)
-
     rows = models.potts_sweep(
         sizes, fields, args.coupling, args.gap_threshold, args.tol, args.granularity
     )
@@ -341,15 +339,13 @@ def cmd_potts_sweep(args) -> int:
 
 def cmd_circuit_run(args) -> int:
     _check_one_source(args)
-    kind, payload = circuits.load_circuit_file(args.circuit, args.seed)
-    t = _source_tableau(kind, payload, args.length)
-    if t is None:
-        _emit_amplitudes(_dense_source_state(kind, payload, args.length), args)
-        return 0
-    if args.format == "json":
-        _emit(_json_text({"L": t.length, "generators": t.labels()}), args.out)
+    source = load_circuit(args)
+    if isinstance(source, PureState):
+        _emit_amplitudes(source, args)
+    elif args.format == "json":
+        _emit(_json_text({"L": source.length, "generators": source.labels()}), args.out)
     else:
-        _emit(circuits.format_tableau(t), args.out)
+        _emit(circuits.format_tableau(source), args.out)
     return 0
 
 
@@ -364,7 +360,6 @@ def _add_source_args(
     tableau (amplitude files, Potts ground states) where asked."""
     p.add_argument("--circuit", help="circuit file (gates, generators, or JSON spec)")
     p.add_argument("--L", dest="length", type=int, help="chain length (named references, gate files)")
-    p.add_argument("--seed", type=int, help="seed for randomized circuit sources")
     if reference:
         p.add_argument("--state", help="named reference state (neel, bell, ghz)")
     if dense:
@@ -376,17 +371,13 @@ def _add_source_args(
 
 
 def _add_output_args(
-    p: argparse.ArgumentParser,
-    formats: tuple[str, ...] = (),
-    default: Optional[str] = None,
-    json_help: Optional[str] = None,
+    p: argparse.ArgumentParser, formats: tuple[str, ...] = (), json_help: Optional[str] = None
 ) -> None:
+    """--format (the first choice is the default) or the --json switch, and --out."""
     if formats:
-        p.add_argument("--format", choices=formats, default=default)
+        p.add_argument("--format", choices=formats, default=formats[0])
     if json_help is not None:
-        p.add_argument(
-            "--json", dest="format", action="store_const", const="json", help=json_help
-        )
+        p.add_argument("--json", action="store_true", help=json_help)
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
@@ -411,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="full lattice dump with verdict")
     _add_source_args(p)
-    _add_output_args(p, ("json", "pretty"), "json")
+    _add_output_args(p, ("json", "pretty"))
     _add_analysis_args(p, tol=True, fold=True)
     p.set_defaults(func=cmd_lattice)
 
@@ -423,20 +414,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fold", help="emit the folded state")
     _add_source_args(p)
-    _add_output_args(p, ("text", "json"), "text")
+    _add_output_args(p, ("text", "json"))
     p.set_defaults(func=cmd_fold)
 
     p = sub.add_parser("witness", help="one-line or JSON verdict")
     _add_source_args(p)
-    _add_output_args(p, ("json", "pretty"), "pretty", json_help="emit the verdict as JSON")
+    _add_output_args(p, json_help="emit the verdict as JSON")
     _add_analysis_args(p, tol=True)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("mlgs", help="maximally local generating set")
     _add_source_args(p, dense=False)
-    _add_output_args(
-        p, ("json", "pretty"), "pretty", json_help="emit the generator list as JSON"
-    )
+    _add_output_args(p, json_help="emit the generator list as JSON")
     p.set_defaults(func=cmd_mlgs)
 
     p = sub.add_parser("potts-sweep", help="field sweep of the Potts ground state")
@@ -448,12 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_analysis_args(p)
     p.add_argument("--tol", type=float, default=GROUND_STATE_TOL)
     p.add_argument("--granularity", choices=("qubit", "qutrit"), default="qubit")
-    _add_output_args(p, ("csv", "json"), "csv")
+    _add_output_args(p, ("csv", "json"))
     p.set_defaults(func=cmd_potts_sweep)
 
     p = sub.add_parser("circuit-run", help="run a circuit file; dump tableau or state")
     _add_source_args(p, reference=False, dense=False)
-    _add_output_args(p, ("text", "json"), "text")
+    _add_output_args(p, ("text", "json"))
     p.set_defaults(func=cmd_circuit_run)
 
     return parser
@@ -464,14 +453,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        # LinAlgError is a ValueError, so this clause comes first
-        np.linalg.LinAlgError,
-        NumericalError,
-        TableauConsistencyError,
-        MemoryCapError,
-        MemoryError,
-    ) as exc:
+    except NUMERICAL_FAILURES as exc:  # before ValueError, which LinAlgError is
         sys.stderr.write(f"numerical failure: {exc}\n")
         return NUMERICAL_EXIT
     except (

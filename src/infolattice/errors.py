@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class DimensionMismatchError(ValueError):
     """Operands act on chains of different length or dimension."""
@@ -23,3 +25,10 @@ class NumericalError(RuntimeError):
 
 class ConfigurationError(ValueError):
     """Invalid or incomplete run configuration."""
+
+
+# failures of a computation on a valid configuration: sweep error rows, CLI exit 3.
+# LinAlgError is a ValueError, so catch these before configuration errors.
+NUMERICAL_FAILURES = (
+    np.linalg.LinAlgError, NumericalError, TableauConsistencyError, MemoryCapError, MemoryError
+)

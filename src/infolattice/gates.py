@@ -22,6 +22,7 @@ TWO_QUBIT_COUNT = 11520  # gate (k, (a, b)): element k of the two-qubit Clifford
 GATE_ARITY = {**CLIFFORD_GATES, **NON_CLIFFORD_GATES}
 
 Gate = tuple  # (name, (qubits...))
+_INDEX_TYPES = (int, np.integer)  # of k in a two-qubit Clifford (k, (a, b)); bool is refused
 
 
 def check_gates(circuit: Iterable[Gate], length: int, arity: dict[str, int]) -> None:
@@ -30,13 +31,14 @@ def check_gates(circuit: Iterable[Gate], length: int, arity: dict[str, int]) -> 
 
     A name outside ``arity`` raises NonCliffordGateError when ``arity`` is the
     Clifford set (the tableau cannot run it) and ValueError otherwise; a wrong
-    arity, a repeated qubit or a Clifford gate ``(k, (a, b))`` with k outside
-    [0, TWO_QUBIT_COUNT) raises ValueError, a qubit out of range IndexError.
+    arity, a repeated qubit or a Clifford gate ``(k, (a, b))`` with k a bool or
+    outside [0, TWO_QUBIT_COUNT) raises ValueError, a qubit out of range
+    IndexError.  k may be any integer type, numpy's included.
     """
     for name, qubits in circuit:
-        pair = isinstance(name, int) and arity is CLIFFORD_GATES
-        if pair and not 0 <= name < TWO_QUBIT_COUNT:
-            raise ValueError(f"two-qubit Clifford {name} is outside [0, {TWO_QUBIT_COUNT})")
+        pair = isinstance(name, _INDEX_TYPES) and arity is CLIFFORD_GATES
+        if pair and (type(name) is bool or not 0 <= name < TWO_QUBIT_COUNT):
+            raise ValueError(f"two-qubit Clifford {name!r} is not an index in [0, {TWO_QUBIT_COUNT})")
         if not pair and name not in arity:
             error = NonCliffordGateError if arity is CLIFFORD_GATES else ValueError
             raise error(f"gate {name!r} is not in the gate set {sorted(arity)}")
@@ -132,7 +134,8 @@ def gate_matrix(name: str) -> np.ndarray:
 
 
 def word_matrix(word: tuple[Gate, ...], num_qubits: int) -> np.ndarray:
-    """Dense matrix of a gate word on ``num_qubits`` logical qubits (<= 2)."""
+    """Dense matrix of a gate word on ``num_qubits`` logical qubits (<= 2);
+    a two-qubit gate acts on qubits (0, 1), as in the enumeration's words."""
     if num_qubits not in (1, 2):
         raise ValueError("word_matrix supports 1 or 2 logical qubits")
     dim = 2**num_qubits
@@ -140,17 +143,8 @@ def word_matrix(word: tuple[Gate, ...], num_qubits: int) -> np.ndarray:
     eye = np.eye(2, dtype=complex)
     for name, qubits in word:
         m = gate_matrix(name)
-        if num_qubits == 1:
+        if num_qubits == 1 or len(qubits) == 2:  # the generators' CNOT acts on (0, 1)
             full = m
-        elif len(qubits) == 2:
-            if qubits == (0, 1):
-                full = m
-            else:  # (1, 0): conjugate by swap
-                swap = np.array(
-                    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                    dtype=complex,
-                )
-                full = swap @ m @ swap
         else:
             (q,) = qubits
             full = np.kron(m, eye) if q == 0 else np.kron(eye, m)

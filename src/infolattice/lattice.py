@@ -174,6 +174,12 @@ class LatticeSummary:
         )
 
 
+def check_gap_threshold(gap_threshold: float) -> None:
+    """Raise ConfigurationError unless the gap threshold is finite."""
+    if not math.isfinite(gap_threshold):
+        raise ConfigurationError(f"gap threshold must be finite, got {gap_threshold!r}")
+
+
 def summarize(lat: InfoLattice, gap_threshold: float = DEFAULT_GAP_THRESHOLD) -> LatticeSummary:
     """Aggregate a lattice into per-scale information and gap diagnostics.
 
@@ -183,8 +189,7 @@ def summarize(lat: InfoLattice, gap_threshold: float = DEFAULT_GAP_THRESHOLD) ->
     window of width >= 2 exists or when the large-scale total itself lies
     below the threshold (purely short-range information).
     """
-    if not math.isfinite(gap_threshold):
-        raise ConfigurationError(f"gap threshold must be finite, got {gap_threshold!r}")
+    check_gap_threshold(gap_threshold)
     I = lat.info_per_scale()
     L = lat.num_sites
     cut = L // 2

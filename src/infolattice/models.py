@@ -28,15 +28,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import cliffords, gates
-from .errors import ConfigurationError, NumericalError
-from .lattice import (
-    DEFAULT_GAP_THRESHOLD,
-    analyze,
-)
+from .errors import NUMERICAL_FAILURES, ConfigurationError, NumericalError
+from .lattice import DEFAULT_GAP_THRESHOLD, analyze, check_gap_threshold
 from .pauli import PauliString
 from .states import PureState
 from .tableau import StabilizerTableau, brickwork_bonds
-from .witness import GROUND_STATE_TOL, LatticeVerdict, witness_long_range
+from .witness import GROUND_STATE_TOL, LatticeVerdict, check_tolerance, witness_long_range
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -538,7 +535,16 @@ def potts_sweep(
     tol: float = GROUND_STATE_TOL,
     granularity: str = "qubit",
 ) -> list[SweepPoint]:
-    """Sweep the field grid for each size; failures become error rows."""
+    """Sweep the field grid for each size; numerical failures become error rows.
+
+    The whole configuration is checked before the first (possibly long)
+    solve; a bad one raises ConfigurationError.
+    """
+    check_gap_threshold(gap_threshold)
+    check_tolerance(tol)
+    for length in sizes:
+        for field in fields:
+            potts_point_spec(length, field, coupling, granularity)
     rows: list[SweepPoint] = []
     for length in sizes:
         for field in fields:
@@ -546,7 +552,7 @@ def potts_sweep(
                 point, _ = potts_point(
                     length, field, coupling, gap_threshold, tol, granularity
                 )
-            except Exception as exc:  # keep sweeping, record the failure
+            except NUMERICAL_FAILURES as exc:  # keep sweeping, record the failure
                 point = SweepPoint(
                     length=length,
                     field=field,

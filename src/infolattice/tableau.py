@@ -119,7 +119,7 @@ class StabilizerTableau:
         zcols = _transpose(self._zs, self.length)
         odd, sign = _transpose(self._ph, 2)
         for name, qubits in circuit:
-            if isinstance(name, int):
+            if not isinstance(name, str):  # checked above: a two-qubit Clifford index
                 pair_map = cliffords.pair_maps()[name]
                 sign = gates.conjugate_pair(xcols, zcols, sign, pair_map, *qubits)
             else:

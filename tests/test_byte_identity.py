@@ -9,7 +9,8 @@ takes reduced density matrices of side up to 512 from a blocked BLAS product.
 Mirror-symmetric states (the Potts chains, GHZ at odd L) take the half-lattice
 path and asymmetric ones (Neel at even L) the full one; a sweep that returns to
 an earlier N reuses that N's cached Potts index tables.  A sweep that repeats a
-size must be rejected with the same error line in both processes.
+size, and ``--L`` given to a source that fixes its own length, must be rejected
+with the same error line in both processes.
 """
 
 import json
@@ -39,6 +40,16 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(results))
 """
 
+# invocations that must exit 2 with one error line and print nothing else
+REJECTED = [
+    ["potts-sweep", "--sizes", "8,8", "--h", "0.3"],
+    # --L where the source fixes its own length
+    ["summarize", "--circuit", "{clifford}", "--L", "12"],
+    ["mlgs", "--circuit", "{generators}", "--L", "4"],
+    ["summarize", "--amplitudes", "{amps}", "--L", "9"],
+    ["witness", "--potts", "N=3", "--L", "9"],
+]
+
 INVOCATIONS = [
     ["lattice", "--state", "ghz", "--L", "6", "--format", "pretty"],
     ["lattice", "--circuit", "{clifford}", "--fold"],
@@ -55,15 +66,13 @@ INVOCATIONS = [
     ["potts-sweep", "--sizes", "6,14", "--h", "0,0.3,0.5", "--format", "json"],
     ["lattice", "--potts", "N=7,h=0.5"],
     ["lattice", "--potts", "N=9,h=0.5"],
-    ["summarize", "--circuit", "{tdoped}", "--seed", "3", "--fold"],
+    ["summarize", "--circuit", "{tdoped}", "--fold"],
     ["witness", "--amplitudes", "{amps}", "--json"],
     ["lattice", "--state", "ghz", "--L", "7"],
     ["summarize", "--state", "neel", "--L", "6"],
     ["potts-sweep", "--sizes", "8,6", "--h", "0,0.4", "--format", "json"],
-    ["potts-sweep", "--sizes", "8,8", "--h", "0.3"],
+    *REJECTED,
 ]
-# invocations that must exit 2 with one error line and print nothing else
-REJECTED = [["potts-sweep", "--sizes", "8,8", "--h", "0.3"]]
 
 
 def write_sources(tmp_path: Path) -> dict[str, str]:
@@ -74,7 +83,7 @@ def write_sources(tmp_path: Path) -> dict[str, str]:
         "clifford": ("clifford.json", json.dumps({"type": "random_clifford", "L": 10, "seed": 4})),
         "tdoped": (
             "tdoped.json",
-            json.dumps({"type": "t_doped", "L": 8, "blocks": 1, "entangling_layers": 1}),
+            json.dumps({"type": "t_doped", "L": 8, "blocks": 1, "entangling_layers": 1, "seed": 3}),
         ),
     }
     paths = {}

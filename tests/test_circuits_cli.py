@@ -112,8 +112,6 @@ class TestCircuitSpecs:
         path.write_text(json.dumps({"type": "t_doped", "L": 10, "seed": 3}))
         kind, spec = circuits.load_circuit_file(str(path))
         assert kind == "t_doped" and spec.length == 10 and spec.seed == 3
-        kind, spec = circuits.load_circuit_file(str(path), seed_override=9)
-        assert spec.seed == 9
 
     def test_missing_seed(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -163,10 +161,9 @@ class TestCLI:
         spec.write_text(json.dumps({"type": "t_doped", "L": 8,
                                     "clifford_layers_per_block": 4,
                                     "t_gates_per_block": 2, "blocks": 1,
-                                    "entangling_layers": 1}))
+                                    "entangling_layers": 1, "seed": 7}))
         for out in (a, b):
-            code = self.run("lattice", "--circuit", str(spec), "--seed", "7",
-                            "--out", str(out))
+            code = self.run("lattice", "--circuit", str(spec), "--out", str(out))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
         payload = json.loads(a.read_text())
@@ -652,6 +649,16 @@ class TestCLI:
         ("circuit-run", ["--amplitudes", "{amps}"]),
         ("potts-sweep", ["--seed", "1"]),
         ("potts-sweep", ["--config", "c.json"]),
+        # a spec's own "seed" key is the one way to seed it
+        ("lattice", ["--seed", "1"]),
+        ("summarize", ["--seed", "1"]),
+        ("fold", ["--seed", "1"]),
+        ("witness", ["--seed", "1"]),
+        ("mlgs", ["--seed", "1"]),
+        ("circuit-run", ["--seed", "1"]),
+        # --json is the one output switch
+        ("witness", ["--format", "json"]),
+        ("mlgs", ["--format", "json"]),
     ]
 
     @pytest.mark.parametrize(
@@ -671,6 +678,41 @@ class TestCLI:
             self.run(command, *base, *flag)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    # sources that fix their own length, and the function that builds each state
+    LENGTH_FIXED_SOURCES = [
+        ("spec", "infolattice.cli.random_clifford_circuit"),
+        ("generators", "infolattice.tableau.StabilizerTableau.from_generators"),
+        ("amplitudes", "infolattice.cli.load_amplitudes"),
+        ("potts", "infolattice.models.symmetric_ground_state"),
+    ]
+
+    @pytest.mark.parametrize(
+        "source,builder", LENGTH_FIXED_SOURCES, ids=[s for s, _ in LENGTH_FIXED_SOURCES]
+    )
+    def test_unread_length_exits_config(self, tmp_path, monkeypatch, capsys, source, builder):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(builder, unreachable)
+        spec = tmp_path / "clifford.json"
+        spec.write_text(json.dumps({"type": "random_clifford", "L": 6, "seed": 1}))
+        gens = tmp_path / "gens.txt"
+        gens.write_text("+XX\n+ZZ\n")
+        amps = tmp_path / "amps.txt"
+        amps.write_text("dims 2\n1.0 0.0\n0.0 0.0\n")
+        flags = {
+            "spec": ["--circuit", str(spec)],
+            "generators": ["--circuit", str(gens)],
+            "amplitudes": ["--amplitudes", str(amps)],
+            "potts": ["--potts", "N=3"],
+        }[source]
+        with pytest.raises(AssertionError):  # without --L the source is built
+            self.run("summarize", *flags)
+        assert self.run("summarize", *flags, "--L", "9") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --L is read only")
+        assert "Traceback" not in captured.err
 
 
 # The gate rule, one row per kind of bad gate, on every engine entry point.

@@ -473,13 +473,47 @@ class TestSweep:
         assert not point.long_range_witnessed
         assert verdict.origin == "not_applicable"
 
-    def test_error_rows_keep_sweeping(self):
-        rows = potts_sweep([9, 8], [0.0])  # odd qubit length fails
-        assert rows[0].error is not None and rows[0].gamma is None
+    def test_error_rows_keep_sweeping(self, monkeypatch):
+        solve = models.symmetric_ground_state
+
+        def fails_at_n4(spec):
+            if spec.qutrits == 4:
+                raise NumericalError("Lanczos did not converge")
+            return solve(spec)
+
+        monkeypatch.setattr(models, "symmetric_ground_state", fails_at_n4)
+        rows = potts_sweep([8, 6], [0.0])
+        assert rows[0].error == "NumericalError: Lanczos did not converge"
+        assert rows[0].gamma is None
         assert rows[1].error is None and rows[1].gamma is not None
         error_col = SWEEP_CSV_COLUMNS.index("error")
         assert rows[0].to_csv_row()[error_col] == rows[0].error
         assert rows[1].to_csv_row()[error_col] is None
+
+    @pytest.mark.parametrize(
+        "sizes,kwargs",
+        [
+            ([8, 7], {}),  # odd qubit length
+            ([8], {"gap_threshold": math.nan}),
+            ([8], {"tol": -1.0}),
+            ([8], {"granularity": "spin"}),
+        ],
+    )
+    def test_bad_configuration_raises_before_solving(self, monkeypatch, sizes, kwargs):
+        def unreachable(spec):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(models, "symmetric_ground_state", unreachable)
+        with pytest.raises(ConfigurationError):
+            potts_sweep(sizes, [0.3], **kwargs)
+
+    def test_only_numerical_failures_become_rows(self, monkeypatch):
+        def buggy(spec):
+            raise KeyError("a bug, not a numerical failure")
+
+        monkeypatch.setattr(models, "symmetric_ground_state", buggy)
+        with pytest.raises(KeyError):
+            potts_sweep([8], [0.3])
 
     def test_qutrit_granularity(self):
         point, _ = potts_point(4, 0.0, granularity="qutrit")

@@ -119,10 +119,16 @@ class TestCliffordConjugation:
             ((7, (1, 3)), IndexError),
             ((7, (-1, 0)), IndexError),
             ((7, (0,)), ValueError),
+            ((True, (0, 1)), ValueError),
+            ((np.int64(5), (0, 1)), None),  # the same element as the int 5
         ],
     )
     def test_two_qubit_clifford_validation(self, gate, error):
         t = StabilizerTableau.zero_state(3)
+        if error is None:
+            as_int = (int(gate[0]), gate[1])
+            assert t.apply_circuit([("H", (0,)), gate]) == t.apply_circuit([("H", (0,)), as_int])
+            return
         with pytest.raises(error):
             t.apply_circuit([("H", (0,)), gate])
 
