@@ -6,6 +6,10 @@ Exactly one state source per invocation (named reference, circuit file,
 amplitude file, or Potts spec).  ``--L`` is read by named references and gate
 files only; the other sources fix their own length and reject it.  A random
 circuit spec carries its own seed, so outputs are byte-identical across runs.
+A Clifford source (named reference, generator file, Clifford gate file or
+random Clifford spec) stays a tableau: lattice, summarize and witness read its
+exact integer lattice, and only gamma_folded (``--fold``, always for witness),
+``fold`` and ``circuit-run`` go through its dense state.
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical failures
 (running out of memory included).
 """
@@ -34,6 +38,8 @@ from .lattice import (
     LatticeSummary,
     analyze,
     fold,
+    gamma_folded,
+    summarize,
 )
 
 # unused here, but perfbench/selftest.py checks that its tracer rebinds this
@@ -172,11 +178,19 @@ def _check_one_source(args: argparse.Namespace) -> None:
         raise ConfigurationError(f"exactly one state source required ({listed})")
 
 
-def load_state(args: argparse.Namespace) -> PureState:
-    """Resolve the configured state source to a dense state."""
+def load_state(
+    args: argparse.Namespace, dense: bool = False
+) -> StabilizerTableau | PureState:
+    """Resolve the configured state source.
+
+    A Clifford source, a named reference included, resolves to its tableau
+    and any other source to its dense state.  With ``dense`` every source
+    resolves to a dense state: a named reference to ``reference_state``, a
+    Clifford circuit file through ``statevector_from_tableau``.
+    """
     _check_one_source(args)
     if args.state is not None:
-        return _reference(args, models.reference_state)
+        return _reference(args, models.reference_state if dense else models.reference_tableau)
     if args.amplitudes is not None:
         _reject_length(args, "--amplitudes")
         return load_amplitudes(args.amplitudes)
@@ -192,7 +206,7 @@ def load_state(args: argparse.Namespace) -> PureState:
         gs, _ = models.symmetric_ground_state(models.PottsSpec(n, j, h))
         return models.embed_qutrit_to_spins(gs)
     source = load_circuit(args)
-    if isinstance(source, StabilizerTableau):
+    if dense and isinstance(source, StabilizerTableau):
         return statevector_from_tableau(source)
     return source
 
@@ -237,36 +251,49 @@ def _tol(args: argparse.Namespace) -> float:
     return GROUND_STATE_TOL if args.potts is not None else DEFAULT_TOL
 
 
+def _analyze(
+    source: StabilizerTableau | PureState, gap_threshold: float, with_fold: bool
+) -> tuple[InfoLattice, LatticeSummary]:
+    """:func:`analyze` for either engine: a tableau's lattice is its exact
+    integer lattice, and only its gamma_folded needs the dense state."""
+    if isinstance(source, PureState):
+        return analyze(source, gap_threshold, with_fold=with_fold)
+    lat = source.integer_info_lattice()
+    summary = summarize(lat, gap_threshold)
+    if with_fold:
+        summary = summary.with_folded(gamma_folded(statevector_from_tableau(source)))
+    return lat, summary
+
+
 def cmd_lattice(args) -> int:
-    state = load_state(args)
-    lat, summary = analyze(state, args.gap_threshold, with_fold=args.fold)
+    source = load_state(args)
+    lat, summary = _analyze(source, args.gap_threshold, args.fold)
     tol = _tol(args)
     verdict = witness_long_range(summary, tol, require_origin=args.fold)
     if args.format == "pretty":
         text = pretty_lattice(lat, tol)
         text += verdict.one_line() + "\n"
     else:
-        text = _json_text(lattice_dump(lat, summary, verdict, state.dims))
+        dims = source.dims if isinstance(source, PureState) else (2,) * source.length
+        text = _json_text(lattice_dump(lat, summary, verdict, dims))
     _emit(text, args.out)
     return 0
 
 
 def cmd_summarize(args) -> int:
-    state = load_state(args)
-    _, summary = analyze(state, args.gap_threshold, with_fold=args.fold)
+    _, summary = _analyze(load_state(args), args.gap_threshold, args.fold)
     _emit(_json_text(summary_dict(summary)), args.out)
     return 0
 
 
 def cmd_fold(args) -> int:
-    _emit_amplitudes(fold(load_state(args)), args)
+    _emit_amplitudes(fold(load_state(args, dense=True)), args)
     return 0
 
 
 def cmd_witness(args) -> int:
-    state = load_state(args)
     # origin classification always wants the folded total
-    _, summary = analyze(state, args.gap_threshold, with_fold=True)
+    _, summary = _analyze(load_state(args), args.gap_threshold, with_fold=True)
     verdict = witness_long_range(summary, _tol(args))
     if args.json:
         _emit(_json_text(verdict.to_dict()), args.out)

@@ -110,10 +110,14 @@ class StabilizerTableau:
         The rows are transposed once into per-site bit planes, so that a gate,
         also ``(k, (a, b))`` (element k of the two-qubit Clifford group on sites
         a, b), costs a few big-int operations instead of one update per row.
-        Each distinct gate is checked once, before the first one is applied.
+        Each distinct gate is checked once, before the first one is applied;
+        a bool index is rejected even beside an equal int.
         """
         circuit = [(name, tuple(qubits)) for name, qubits in circuit]
-        gates.check_gates(dict.fromkeys(circuit), self.length, gates.CLIFFORD_GATES)
+        # True == 1 hashes alike, so the dedup would merge a bool index into an
+        # equal int; any bool is checked (and rejected) in place of the rest
+        bools = [gate for gate in circuit if gate[0] is True or gate[0] is False]
+        gates.check_gates(bools or dict.fromkeys(circuit), self.length, gates.CLIFFORD_GATES)
         n = len(self._xs)
         xcols = _transpose(self._xs, self.length)
         zcols = _transpose(self._zs, self.length)

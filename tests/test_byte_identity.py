@@ -7,7 +7,8 @@ set covers every subcommand and Potts ground states at N = 7, 8 and 9
 (h = 0 included, where the sector matrix is diagonal).  The N = 9 lattice
 takes reduced density matrices of side up to 512 from a blocked BLAS product.
 Mirror-symmetric states (the Potts chains, GHZ at odd L) take the half-lattice
-path and asymmetric ones (Neel at even L) the full one; a sweep that returns to
+path and asymmetric ones (Neel at even L) the full one; Clifford sources take
+the exact tableau lattice, at 30 and 64 sites too; a sweep that returns to
 an earlier N reuses that N's cached Potts index tables.  A sweep that repeats a
 size, and ``--L`` given to a source that fixes its own length, must be rejected
 with the same error line in both processes.
@@ -71,6 +72,11 @@ INVOCATIONS = [
     ["lattice", "--state", "ghz", "--L", "7"],
     ["summarize", "--state", "neel", "--L", "6"],
     ["potts-sweep", "--sizes", "8,6", "--h", "0,0.4", "--format", "json"],
+    # Clifford sources on the exact engine, past the dense bridge's 20 sites
+    # too; witness folds through the dense state
+    ["summarize", "--circuit", "{clifford64}"],
+    ["lattice", "--state", "ghz", "--L", "30"],
+    ["witness", "--circuit", "{clifford12}", "--json"],
     *REJECTED,
 ]
 
@@ -81,6 +87,14 @@ def write_sources(tmp_path: Path) -> dict[str, str]:
         "magic": ("magic.qc", "H 0\nT 0\nCNOT 0 1\nH 2\nCNOT 2 3\nT 3\n"),
         "generators": ("gens.txt", "+XXXX\n+ZZII\n-IZZI\n+IIZZ\n"),
         "clifford": ("clifford.json", json.dumps({"type": "random_clifford", "L": 10, "seed": 4})),
+        "clifford12": (
+            "clifford12.json",
+            json.dumps({"type": "random_clifford", "L": 12, "layers": 8, "seed": 1}),
+        ),
+        "clifford64": (
+            "clifford64.json",
+            json.dumps({"type": "random_clifford", "L": 64, "layers": 8, "seed": 1}),
+        ),
         "tdoped": (
             "tdoped.json",
             json.dumps({"type": "t_doped", "L": 8, "blocks": 1, "entangling_layers": 1, "seed": 3}),

@@ -550,7 +550,7 @@ class TestCLI:
             (
                 "infolattice.lattice.compute_lattice",
                 np.linalg.LinAlgError("Eigenvalues did not converge"),
-                ["lattice", "--state", "ghz", "--L", "4"],
+                ["lattice", "--potts", "N=3,h=0.4"],
             ),
             (
                 "infolattice.models._lanczos_lowest",
@@ -609,7 +609,8 @@ class TestCLI:
     @pytest.mark.parametrize(
         "target,argv",
         [
-            ("infolattice.models.reference_state", ["lattice", "--state", "ghz", "--L", "40"]),
+            # lattice reads a named reference's tableau; fold builds its dense state
+            ("infolattice.models.reference_state", ["fold", "--state", "ghz", "--L", "40"]),
             ("infolattice.models.symmetric_ground_state", ["witness", "--potts", "N=25"]),
         ],
     )

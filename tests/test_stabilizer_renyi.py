@@ -84,7 +84,8 @@ class TestOracle:
 
 
 def test_clifford_sources_have_no_magic_and_no_flag(tmp_path):
-    # every Clifford circuit-file kind, densified by the CLI's own loader
+    # every Clifford circuit-file kind, resolved to its tableau by the CLI's own
+    # loader and densified through the bridge
     files = {
         "gates.qc": "H 0\nCNOT 0 1\nS 1\nH 2\nCZ 2 3\nCNOT 3 4\nH 5\n",
         "gens.txt": "+XXXX\n+ZZII\n-IZZI\n+IIZZ\n",
@@ -96,7 +97,7 @@ def test_clifford_sources_have_no_magic_and_no_flag(tmp_path):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
         args = build_parser().parse_args(["lattice", "--circuit", str(tmp_path / name)])
-        states.append(load_state(args))
+        states.append(statevector_from_tableau(load_state(args)))
     states.append(statevector_from_tableau(reference_tableau("bell", 4)))
     states += [statevector_from_tableau(reference_tableau(name, 7)) for name in ("neel", "ghz")]
     for state in states:

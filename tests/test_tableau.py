@@ -111,26 +111,29 @@ class TestCliffordConjugation:
             t.apply_circuit([("CNOT", (1, 1))])
 
     @pytest.mark.parametrize(
-        "gate,error",
+        "circuit,error",
         [
-            ((-1, (0, 1)), ValueError),
-            ((gates.TWO_QUBIT_COUNT, (0, 1)), ValueError),
-            ((7, (2, 2)), ValueError),
-            ((7, (1, 3)), IndexError),
-            ((7, (-1, 0)), IndexError),
-            ((7, (0,)), ValueError),
-            ((True, (0, 1)), ValueError),
-            ((np.int64(5), (0, 1)), None),  # the same element as the int 5
+            ([(-1, (0, 1))], ValueError),
+            ([(gates.TWO_QUBIT_COUNT, (0, 1))], ValueError),
+            ([(7, (2, 2))], ValueError),
+            ([(7, (1, 3))], IndexError),
+            ([(7, (-1, 0))], IndexError),
+            ([(7, (0,))], ValueError),
+            ([(True, (0, 1))], ValueError),
+            # True == 1, so a dedup by value alone would drop the bool
+            ([(1, (0, 1)), (True, (0, 1))], ValueError),
+            ([(np.int64(5), (0, 1))], None),  # the same element as the int 5
         ],
     )
-    def test_two_qubit_clifford_validation(self, gate, error):
+    def test_two_qubit_clifford_validation(self, circuit, error):
         t = StabilizerTableau.zero_state(3)
+        circuit = [("H", (0,)), *circuit]
         if error is None:
-            as_int = (int(gate[0]), gate[1])
-            assert t.apply_circuit([("H", (0,)), gate]) == t.apply_circuit([("H", (0,)), as_int])
+            as_int = [(name if isinstance(name, str) else int(name), q) for name, q in circuit]
+            assert t.apply_circuit(circuit) == t.apply_circuit(as_int)
             return
         with pytest.raises(error):
-            t.apply_circuit([("H", (0,)), gate])
+            t.apply_circuit(circuit)
 
 
 def conjugate_rows(xs, zs, ph, name, qubits):
