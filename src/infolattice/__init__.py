@@ -19,7 +19,7 @@ from .lattice import (
     interleave,
     summarize,
 )
-from .pauli import PauliString, SupportInterval, commutes, multiply, row_reduce
+from .pauli import PauliString, SupportInterval, commutes
 from .states import (
     PureState,
     entropy_bits,
@@ -64,9 +64,7 @@ __all__ = [
     "gamma_folded",
     "interleave",
     "load_amplitudes",
-    "multiply",
     "random_clifford_circuit",
-    "row_reduce",
     "statevector_from_tableau",
     "summarize",
     "witness_long_range",

@@ -93,7 +93,7 @@ def run_circuit_dense(
     gates.check_gates(dict.fromkeys(circuit), L, gates.GATE_ARITY)
     psi = PureState.from_label("0" * L)
     for name, qubits in circuit:
-        psi = psi.apply_gate(name, *qubits)
+        psi = psi.apply_unitary(gates.gate_matrix(name), *qubits)
     return psi
 
 
@@ -133,16 +133,25 @@ def format_tableau(t: StabilizerTableau) -> str:
 # JSON circuit-family specs
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigurationError(f"duplicate key {key!r} in circuit spec")
+        out[key] = value
+    return out
+
+
 def parse_circuit_spec(text: str) -> tuple[str, object]:
     """Parse a JSON random-circuit family spec.
 
     Returns ``("t_doped", TDopedCircuitSpec)`` or
     ``("random_clifford", (L, layers, seed))``.  Every key must be known to
-    the family and every value a JSON integer; ``L`` and ``seed`` are required,
-    so the spec alone fixes the state.
+    the family, appear once and hold a JSON integer; ``L`` and ``seed`` are
+    required, so the spec alone fixes the state.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"bad circuit spec JSON: {exc}") from None
     if not isinstance(raw, dict) or "type" not in raw:

@@ -50,10 +50,6 @@ def _enumerate(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(edges), np.concatenate(layers)
 
 
-def _words(num_qubits: int) -> tuple[tuple[gates.Gate, ...], ...]:
-    return tuple(clifford_word(num_qubits, k) for k in range(group_size(num_qubits)))
-
-
 @lru_cache(maxsize=None)
 def pair_maps() -> tuple[tuple, ...]:
     """Map ``(m0, m1, m2, m3, monomials)`` of each two-qubit element on planes

@@ -246,11 +246,10 @@ def fold(state: PureState) -> PureState:
 
     The left partner is the more significant factor inside each folded site;
     for odd length the lone middle site becomes the last folded site with its
-    original dimension.  Amplitudes are only permuted.
+    original dimension.  Amplitudes are only permuted; below two sites
+    :func:`interleave` raises ValueError.
     """
     L = state.num_sites
-    if L < 2:
-        raise ValueError("folding needs at least two sites")
     half = L // 2
     dims = [state.dims[k] * state.dims[L - 1 - k] for k in range(half)]
     if L % 2:
@@ -267,7 +266,7 @@ def interleave(state: PureState) -> PureState:
     """
     L = state.num_sites
     if L < 2:
-        raise ValueError("interleaving needs at least two sites")
+        raise ValueError("the fold needs at least two sites")
     order = _fold_order(L)
     return PureState(
         state.tensor().transpose(order).ravel(), tuple(state.dims[o] for o in order)

@@ -176,7 +176,7 @@ def t_doped_state(spec: TDopedCircuitSpec) -> PureState:
     for k in range(spec.entangling_layers):
         for a, _ in brickwork_bonds(L, k):
             idx = int(rng.integers(0, cliffords.TWO_QUBIT_COUNT))
-            psi = psi.apply_unitary(cliffords.clifford_matrix(2, idx), a)
+            psi = psi.apply_unitary(cliffords.clifford_matrix(2, idx), a, a + 1)
     return psi
 
 
@@ -565,28 +565,3 @@ def potts_sweep(
                 )
             rows.append(point)
     return rows
-
-
-def crossing_brackets(
-    rows: Sequence[SweepPoint], length_a: int, length_b: int
-) -> list[tuple[float, float]]:
-    """Field intervals where the gamma curves of two sizes cross.
-
-    Returns (h_low, h_high) bracket pairs from sign changes of the difference
-    on the common grid.
-    """
-    curve = {}
-    for r in rows:
-        if r.gamma is not None:
-            curve.setdefault(r.length, {})[r.field] = r.gamma
-    if length_a not in curve or length_b not in curve:
-        return []
-    common = sorted(set(curve[length_a]) & set(curve[length_b]))
-    diffs = [curve[length_a][h] - curve[length_b][h] for h in common]
-    brackets = []
-    for k in range(len(common) - 1):
-        if diffs[k] == 0.0:
-            brackets.append((common[k], common[k]))
-        elif diffs[k] * diffs[k + 1] < 0:
-            brackets.append((common[k], common[k + 1]))
-    return brackets

@@ -1,19 +1,16 @@
-"""Signed Pauli strings in symplectic (bit-packed) form and GF(2) elimination.
+"""Signed Pauli strings in symplectic (bit-packed) form, and support intervals.
 
 A string is ``i**phase_exp * W_0 x W_1 x ... x W_{L-1}`` with each ``W_j`` one
 of the Hermitian matrices I, X, Y, Z selected by the bit pair
 ``(x_j, z_j)``: (0,0) -> I, (1,0) -> X, (1,1) -> Y, (0,1) -> Z.  Bit ``j`` of
 the packed integers ``x`` and ``z`` is the exponent on site ``j``.  Hermitian
-strings therefore carry an even i-exponent (prefactor +1 or -1); products are
-tracked phase-exactly.
+strings therefore carry an even i-exponent (prefactor +1 or -1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from . import _kernels
 from .errors import DimensionMismatchError
 
 _PHASE_PREFIX = {0: "", 1: "+i", 2: "-", 3: "-i"}
@@ -104,49 +101,8 @@ class PauliString:
         return self.phase_exp % 2 == 0
 
 
-def _check_lengths(a: PauliString, b: PauliString) -> None:
-    if a.length != b.length:
-        raise DimensionMismatchError(
-            f"Pauli strings act on {a.length} vs {b.length} sites"
-        )
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Group product ``a * b`` with exact phase."""
-    _check_lengths(a, b)
-    delta = _kernels.pauli_mul_phase(a.x, a.z, b.x, b.z)
-    return PauliString(a.length, a.x ^ b.x, a.z ^ b.z, (a.phase_exp + b.phase_exp + delta) % 4)
-
-
 def commutes(a: PauliString, b: PauliString) -> bool:
     """True iff the symplectic inner product of the two strings is even."""
-    _check_lengths(a, b)
+    if a.length != b.length:
+        raise DimensionMismatchError(f"Pauli strings act on {a.length} vs {b.length} sites")
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
-def default_column_order(length: int) -> list[int]:
-    """Site 0 X, site 0 Z, site 1 X, ... (column ``2*site + (0 for X, 1 for Z)``)."""
-    return list(range(2 * length))
-
-
-def row_reduce(generators: Sequence[PauliString]) -> tuple[list[PauliString], int]:
-    """Reduce to an independent generating set of the (phaseless) span.
-
-    Elimination runs in the fixed column order of ``default_column_order`` so
-    the resulting basis is canonical for the span; phases ride along on the
-    representatives.  Returns ``(basis, rank)``.
-    """
-    gens = list(generators)
-    if not gens:
-        return [], 0
-    length = gens[0].length
-    for g in gens:
-        if g.length != length:
-            raise DimensionMismatchError("mixed string lengths in row_reduce")
-    xs = [g.x for g in gens]
-    zs = [g.z for g in gens]
-    ph = [g.phase_exp for g in gens]
-    rank, _ = _kernels.reduce_pauli_rows(xs, zs, ph, default_column_order(length))
-    basis = [PauliString(length, xs[k], zs[k], ph[k]) for k in range(rank)]
-    return basis, rank
-

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gates
 from .errors import DimensionMismatchError, MemoryCapError, NumericalError
 from .pauli import PauliString, SupportInterval
 
@@ -104,50 +103,38 @@ class PureState:
 
     # -- gates ---------------------------------------------------------------
 
-    def apply_unitary(self, u: np.ndarray, first_site: int) -> "PureState":
-        """Apply a unitary on contiguous sites starting at ``first_site``.
+    def apply_unitary(self, u: np.ndarray, *sites: int) -> "PureState":
+        """Apply a unitary on distinct sites, given in any order.
 
-        The side of ``u`` must equal the product of the local dimensions it
-        covers; unitarity is checked to 1e-10.
+        The first site is the most significant factor of ``u``, whose side
+        must equal the product of the sites' local dimensions; unitarity is
+        checked to 1e-10.
         """
         u = np.asarray(u, dtype=complex)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("unitary must be a square matrix")
-        side = u.shape[0]
-        if not 0 <= first_site < self.num_sites:
-            raise IndexError(f"site {first_site} out of range")
-        block = 1
-        last = first_site
-        while block < side and last < self.num_sites:
-            block *= self.dims[last]
-            last += 1
-        if block != side:
+        side, n = u.shape[0], self.num_sites
+        for s in sites:
+            if not 0 <= s < n:
+                raise IndexError(f"site {s} out of range")
+        if len(set(sites)) != len(sites):
+            raise ValueError(f"sites {sites} are not distinct")
+        local = tuple(self.dims[s] for s in sites)
+        if math.prod(local) != side:
             raise DimensionMismatchError(
-                f"matrix side {side} does not cover whole sites from {first_site}"
+                f"matrix side {side} does not match dims {local} of sites {sites}"
             )
         dev = float(np.abs(u @ u.conj().T - np.eye(side)).max())
         if not dev <= 1e-10:  # a NaN deviation fails too
             raise ValueError("matrix is not unitary within 1e-10")
-        a = math.prod(self.dims[:first_site])
-        c = math.prod(self.dims[last:])
-        t = self.amps.reshape(a, side, c)
-        out = np.einsum("ij,ajc->aic", u, t)
+        # axis labels: site s is s; the output axis of the k-th site is n + k
+        new = list(range(n, n + len(sites)))
+        out_axes = list(range(n))
+        for s, k in zip(sites, new):
+            out_axes[s] = k
+        t = self.tensor()
+        out = np.einsum(u.reshape(local + local), new + list(sites), t, list(range(n)), out_axes)
         return PureState(out.ravel(), self.dims)
-
-    def apply_gate(self, name: str, *qubits: int) -> "PureState":
-        """Apply a named elementary gate (qubit chains only)."""
-        gates.check_gates([(name, qubits)], self.num_sites, gates.GATE_ARITY)
-        for q in qubits:
-            if self.dims[q] != 2:
-                raise DimensionMismatchError(f"gate {name} needs a qubit at site {q}")
-        op = gates.gate_matrix(name).reshape((2,) * (2 * len(qubits)))
-        return self._apply_axes(op, qubits)
-
-    def _apply_axes(self, op: np.ndarray, axes: tuple[int, ...]) -> "PureState":
-        """Contract an operator tensor (out-indices first) onto given site axes."""
-        t = np.tensordot(op, self.tensor(), axes=(range(len(axes), 2 * len(axes)), axes))
-        t = np.moveaxis(t, range(len(axes)), axes)
-        return PureState(t.ravel(), self.dims)
 
     # -- reductions ----------------------------------------------------------
 

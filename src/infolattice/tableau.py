@@ -134,10 +134,6 @@ class StabilizerTableau:
 
     # -- interval subgroups -----------------------------------------------------
 
-    def _check_interval(self, interval: SupportInterval) -> None:
-        if interval.right >= self.length:
-            raise IndexError(f"interval {interval} exceeds L={self.length}")
-
     def restrict_subgroup(
         self, interval: SupportInterval
     ) -> tuple[list[PauliString], int]:
@@ -151,7 +147,8 @@ class StabilizerTableau:
         the span contains -I (possible for dependent constructor rows) signs are
         undefined; the rank and the Pauli letters still hold.
         """
-        self._check_interval(interval)
+        if interval.right >= self.length:
+            raise IndexError(f"interval {interval} exceeds L={self.length}")
         gauge = self._clipped_gauge()
         a, b = interval.left, interval.right
         starting = gauge[bisect_left(gauge, (a,)) : bisect_left(gauge, (b + 1,))]
@@ -215,13 +212,6 @@ class StabilizerTableau:
         )
         self._gauge = sorted((left[k], right[k], xs[k], zs[k], ph[k]) for k in left)
         return self._gauge
-
-    def stabilizer_entropy(self, interval: SupportInterval) -> float:
-        """Subsystem entropy in bits: interval size minus subgroup rank."""
-        self._check_interval(interval)
-        a, b = interval.left, interval.right
-        rank = sum(1 for left, right, *_ in self._clipped_gauge() if a <= left and right <= b)
-        return float(interval.num_sites - rank)
 
     def integer_info_lattice(self) -> InfoLattice:
         """Exact integer lattice: the second difference of the interval ranks

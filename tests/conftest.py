@@ -1,17 +1,19 @@
 """Shared helpers: dense and elementary-gate oracles for brickwork circuits,
-a dense oracle for Pauli strings, the site reflection, Pauli spans and
-supports, the canonical random-circuit ensemble."""
+a dense oracle for Pauli strings, the site reflection, Pauli products, spans
+and supports, gauge entropies, the Clifford word tables, the canonical
+random-circuit ensemble, and crossings of sweep curves."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from infolattice import cliffords
+from infolattice import _kernels, cliffords
+from infolattice.errors import DimensionMismatchError
 from infolattice.lattice import InfoLattice
-from infolattice.pauli import PauliString, row_reduce
+from infolattice.pauli import PauliString, SupportInterval
 from infolattice.states import PureState
-from infolattice.tableau import CliffordCircuit
+from infolattice.tableau import CliffordCircuit, StabilizerTableau
 
 I2 = np.eye(2, dtype=complex)
 PAULI_1Q = {
@@ -30,6 +32,32 @@ def dense_pauli(p: PauliString) -> np.ndarray:
     return (1j ** p.phase_exp) * m
 
 
+def multiply(a: PauliString, b: PauliString) -> PauliString:
+    """Group product ``a * b`` with exact phase."""
+    if a.length != b.length:
+        raise DimensionMismatchError(f"Pauli strings act on {a.length} vs {b.length} sites")
+    delta = _kernels.pauli_mul_phase(a.x, a.z, b.x, b.z)
+    return PauliString(a.length, a.x ^ b.x, a.z ^ b.z, (a.phase_exp + b.phase_exp + delta) % 4)
+
+
+def default_column_order(length: int) -> list[int]:
+    """Site 0 X, site 0 Z, site 1 X, ... (column ``2*site + (0 for X, 1 for Z)``)."""
+    return list(range(2 * length))
+
+
+def row_reduce(generators) -> tuple[list[PauliString], int]:
+    """Independent generating set of the (phaseless) span, eliminated in the
+    fixed column order of ``default_column_order`` so that the basis is
+    canonical for the span; phases ride along.  Returns ``(basis, rank)``."""
+    gens = list(generators)
+    if not gens:
+        return [], 0
+    length = gens[0].length
+    xs, zs, ph = [g.x for g in gens], [g.z for g in gens], [g.phase_exp for g in gens]
+    rank, _ = _kernels.reduce_pauli_rows(xs, zs, ph, default_column_order(length))
+    return [PauliString(length, xs[k], zs[k], ph[k]) for k in range(rank)], rank
+
+
 def span(strings) -> list[tuple[int, int]]:
     """Canonical phaseless basis of the group the strings generate."""
     return [(g.x, g.z) for g in row_reduce(list(strings))[0]]
@@ -41,11 +69,25 @@ def support_ends(p: PauliString) -> tuple[int, int] | None:
     return ((occ & -occ).bit_length() - 1, occ.bit_length() - 1) if occ else None
 
 
+def stabilizer_entropy(t: StabilizerTableau, interval: SupportInterval) -> float:
+    """Subsystem entropy in bits: interval size minus the number of clipped
+    gauge generators inside it (the interval subgroup's rank)."""
+    a, b = interval.left, interval.right
+    rank = sum(1 for left, right, *_ in t._clipped_gauge() if a <= left and right <= b)
+    return float(interval.num_sites - rank)
+
+
+def clifford_words(num_qubits: int) -> tuple[tuple, ...]:
+    """Gate word of every element of the 1- or 2-qubit Clifford group, by index."""
+    size = cliffords.group_size(num_qubits)
+    return tuple(cliffords.clifford_word(num_qubits, k) for k in range(size))
+
+
 def apply_brickwork_dense(circuit: CliffordCircuit, state: PureState) -> PureState:
     """Dense oracle for ``apply_to_tableau``: each two-qubit Clifford as a 4x4 unitary."""
     for layer in circuit.assignments:
-        for (a, _), idx in layer:
-            state = state.apply_unitary(cliffords.clifford_matrix(2, idx), a)
+        for (a, b), idx in layer:
+            state = state.apply_unitary(cliffords.clifford_matrix(2, idx), a, b)
     return state
 
 
@@ -98,6 +140,27 @@ def ensemble_specs(count: int = 200) -> list[tuple[int, int, int]]:
         layers = (i * 7) % 21
         specs.append((L, layers, 1000 + i))
     return specs
+
+
+def crossing_brackets(rows, length_a: int, length_b: int) -> list[tuple[float, float]]:
+    """Field intervals where the gamma curves of two sizes in a Potts sweep
+    cross: ``(h_low, h_high)`` pairs from sign changes of the difference on
+    the common grid."""
+    curve = {}
+    for r in rows:
+        if r.gamma is not None:
+            curve.setdefault(r.length, {})[r.field] = r.gamma
+    if length_a not in curve or length_b not in curve:
+        return []
+    common = sorted(set(curve[length_a]) & set(curve[length_b]))
+    diffs = [curve[length_a][h] - curve[length_b][h] for h in common]
+    brackets = []
+    for k in range(len(common) - 1):
+        if diffs[k] == 0.0:
+            brackets.append((common[k], common[k]))
+        elif diffs[k] * diffs[k + 1] < 0:
+            brackets.append((common[k], common[k + 1]))
+    return brackets
 
 
 @pytest.fixture

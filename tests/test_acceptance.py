@@ -12,7 +12,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import assert_lattices_close, ensemble_specs, mirror_lattice, mirror_state
+from conftest import (
+    assert_lattices_close,
+    crossing_brackets,
+    ensemble_specs,
+    mirror_lattice,
+    mirror_state,
+    stabilizer_entropy,
+)
 from infolattice import (
     StabilizerTableau,
     compute_lattice,
@@ -26,7 +33,6 @@ from infolattice.lattice import analyze
 from infolattice.models import (
     TDopedCircuitSpec,
     cat_state,
-    crossing_brackets,
     embed_qutrit_to_spins,
     potts_point,
     potts_sweep,
@@ -113,7 +119,7 @@ def test_criterion_3_rank_entropy_oracle(clifford_ensemble):
         psi = statevector_from_tableau(t)
         worst_entropy = max(
             worst_entropy,
-            abs(t.stabilizer_entropy(iv) - psi.entropy_of_interval(iv)),
+            abs(stabilizer_entropy(t, iv) - psi.entropy_of_interval(iv)),
         )
     elapsed = time.perf_counter() - start
     assert worst_entropy <= 1e-10

@@ -10,8 +10,9 @@ Mirror-symmetric states (the Potts chains, GHZ at odd L) take the half-lattice
 path and asymmetric ones (Neel at even L) the full one; Clifford sources take
 the exact tableau lattice, at 30 and 64 sites too; a sweep that returns to
 an earlier N reuses that N's cached Potts index tables.  A sweep that repeats a
-size, and ``--L`` given to a source that fixes its own length, must be rejected
-with the same error line in both processes.
+size, ``--L`` given to a source that fixes its own length, and a JSON spec
+that repeats a key must be rejected with the same error line in both
+processes.
 """
 
 import json
@@ -49,6 +50,8 @@ REJECTED = [
     ["mlgs", "--circuit", "{generators}", "--L", "4"],
     ["summarize", "--amplitudes", "{amps}", "--L", "9"],
     ["witness", "--potts", "N=3", "--L", "9"],
+    # a JSON spec that repeats a key
+    ["summarize", "--circuit", "{duplicate}"],
 ]
 
 INVOCATIONS = [
@@ -94,6 +97,10 @@ def write_sources(tmp_path: Path) -> dict[str, str]:
         "clifford64": (
             "clifford64.json",
             json.dumps({"type": "random_clifford", "L": 64, "layers": 8, "seed": 1}),
+        ),
+        "duplicate": (
+            "duplicate.json",
+            '{"type": "random_clifford", "L": 6, "layers": 3, "seed": 1, "seed": 2}',
         ),
         "tdoped": (
             "tdoped.json",

@@ -15,7 +15,12 @@ import jsonschema
 import infolattice
 from infolattice import circuits, gates, load_amplitudes, models
 from infolattice.cli import main
-from infolattice.errors import ConfigurationError, NonCliffordGateError, NumericalError
+from infolattice.errors import (
+    ConfigurationError,
+    DimensionMismatchError,
+    NonCliffordGateError,
+    NumericalError,
+)
 from infolattice.models import reference_state
 from infolattice.pauli import PauliString
 from infolattice.states import PureState, amplitudes_text
@@ -211,6 +216,15 @@ class TestCLI:
         payload = json.loads(out.read_text())
         validate(payload, "state_dump")
         assert payload["dims"] == [4, 4]
+
+    @pytest.mark.parametrize("command", ["witness", "fold"])
+    def test_one_site_fold_exits_2(self, tmp_path, capsys, command):
+        amps = tmp_path / "one.txt"
+        amps.write_text("dims 2\n1.0 0.0\n0.0 0.0\n")
+        assert self.run(command, "--amplitudes", str(amps)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the fold needs at least two sites\n"
 
     def test_witness_pretty_and_json(self, tmp_path, capsys):
         assert self.run("witness", "--potts", "N=4,h=0.0,J=1") == 0
@@ -717,15 +731,16 @@ class TestCLI:
 
 
 # The gate rule, one row per kind of bad gate, on every engine entry point.
-# Columns: the tableau (apply_circuit), the dense state
-# (PureState.apply_gate), the circuit runners (run_circuit_tableau and
+# Columns: the tableau (apply_circuit), the dense state (PureState.apply_unitary
+# of gates.gate_matrix: an unknown name has no matrix, a one-qubit matrix on two
+# sites mismatches), the circuit runners (run_circuit_tableau and
 # run_circuit_dense, explicit length L) and the CLI exit code of circuit-run
 # and lattice on a gate file; None means the gate runs.
 GATE_L = 3
 GATE_RULE = [
-    ("unknown", ("FOO", (0,)), NonCliffordGateError, ValueError, NonCliffordGateError, ValueError, 2),
+    ("unknown", ("FOO", (0,)), NonCliffordGateError, KeyError, NonCliffordGateError, ValueError, 2),
     ("T", ("T", (0,)), NonCliffordGateError, None, NonCliffordGateError, None, 0),
-    ("arity", ("H", (0, 1)), ValueError, ValueError, ValueError, ValueError, 2),
+    ("arity", ("H", (0, 1)), ValueError, DimensionMismatchError, ValueError, ValueError, 2),
     ("qubit=L", ("H", (GATE_L,)), IndexError, IndexError, ConfigurationError, ConfigurationError, 2),
     ("negative", ("H", (-1,)), IndexError, IndexError, IndexError, IndexError, 2),
     ("repeated", ("CNOT", (1, 1)), ValueError, ValueError, ValueError, ValueError, 2),
@@ -753,7 +768,8 @@ def test_gate_rule_across_engines(
     zero = StabilizerTableau.zero_state(GATE_L)
     circuit = [("H", (0,)), gate]
     assert raised(lambda: zero.apply_circuit(circuit)) is tableau
-    assert raised(lambda: PureState.from_label("0" * GATE_L).apply_gate(name, *qubits)) is dense
+    psi = PureState.from_label("0" * GATE_L)
+    assert raised(lambda: psi.apply_unitary(gates.gate_matrix(name), *qubits)) is dense
     assert raised(lambda: circuits.run_circuit_tableau(circuit, GATE_L)) is run_tableau
     assert raised(lambda: circuits.run_circuit_dense(circuit, GATE_L)) is run_dense
     path = tmp_path / "gates.qc"

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import dense_pauli
+from conftest import clifford_words, dense_pauli
 from infolattice import cliffords, gates
 from infolattice.pauli import PauliString
 from infolattice.tableau import StabilizerTableau
@@ -77,7 +77,7 @@ def test_sample_indices_deterministic():
     assert cliffords.sample_indices(rng1, 2, 10) == cliffords.sample_indices(rng2, 2, 10)
 
 
-# SHA-256 of repr(cliffords._words(n)) as enumerated with per-row conjugation
+# SHA-256 of repr(clifford_words(n)) as enumerated with per-row conjugation
 # rules; the index -> word tables must never move, or seeded circuits would
 WORD_TABLE_SHA256 = {
     1: "a2e05bf4315e8a8bd53d2789dac15b5e81ea420799a40b1f5e40b1cb1add4ea8",
@@ -87,7 +87,7 @@ WORD_TABLE_SHA256 = {
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_word_tables_pinned(n):
-    digest = hashlib.sha256(repr(cliffords._words(n)).encode()).hexdigest()
+    digest = hashlib.sha256(repr(clifford_words(n)).encode()).hexdigest()
     assert digest == WORD_TABLE_SHA256[n]
 
 

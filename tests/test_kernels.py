@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from conftest import default_column_order, row_reduce
 from infolattice import _kernels
-from infolattice.pauli import PauliString, default_column_order, row_reduce
+from infolattice.pauli import PauliString
 
 
 def test_long_chain_uses_pure_path():

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import dense_pauli, random_pauli
+from conftest import dense_pauli, multiply, random_pauli, row_reduce
 from infolattice.errors import DimensionMismatchError
 from infolattice.pauli import (
     PauliString,
     SupportInterval,
     commutes,
-    multiply,
-    row_reduce,
 )
 
 P = PauliString.from_label
@@ -68,6 +66,8 @@ class TestMultiplication:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             multiply(P("XX"), P("X"))
+        with pytest.raises(DimensionMismatchError):
+            commutes(P("XX"), P("X"))
 
 
 class TestCommutes:

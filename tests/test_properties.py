@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import assert_lattices_close, mirror_lattice, mirror_state
+from conftest import (
+    assert_lattices_close,
+    default_column_order,
+    mirror_lattice,
+    mirror_state,
+    stabilizer_entropy,
+)
 from infolattice import (
     _kernels,
     analyze,
@@ -18,7 +24,7 @@ from infolattice import (
 from infolattice.errors import TableauConsistencyError
 from infolattice.lattice import lattice_from_interval_info
 from infolattice.models import embed_qutrit_to_spins, potts_point_spec, symmetric_ground_state
-from infolattice.pauli import PauliString, SupportInterval, default_column_order
+from infolattice.pauli import PauliString, SupportInterval
 from infolattice.states import PureState, haar_random_state
 from infolattice.tableau import (
     StabilizerTableau,
@@ -169,7 +175,7 @@ def assert_gauge_matches_restriction(t, intervals=None, signed=True):
     for a, b in intervals:
         expected = restrict_by_full_reduction(L, rows, a, b)
         gens, rank = t.restrict_subgroup(SupportInterval(a, b))
-        entropy = t.stabilizer_entropy(SupportInterval(a, b))
+        entropy = stabilizer_entropy(t, SupportInterval(a, b))
         assert b - a + 1 - entropy == rank == len(expected), (a, b)
         # signed generators as (x, z, phase) triples; labels would cost O(L) each
         key = (lambda g: (g.x, g.z, g.phase_exp)) if signed else (lambda g: (g.x, g.z))
@@ -203,7 +209,7 @@ def test_gauge_lattice_is_second_difference_of_ranks(length, layers, seed):
     t = brickwork_tableau(max(length, 2), layers, seed)
     L = t.length
     info = [
-        [scale + 1 - t.stabilizer_entropy(SupportInterval(a, a + scale)) for a in range(L - scale)]
+        [scale + 1 - stabilizer_entropy(t, SupportInterval(a, a + scale)) for a in range(L - scale)]
         for scale in range(L)
     ]
     ranks = lattice_from_interval_info((1.0,) * L, info)

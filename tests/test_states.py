@@ -6,8 +6,10 @@ import re
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import dense_pauli, random_pauli
+from infolattice.gates import gate_matrix
 from infolattice.errors import (
     DimensionMismatchError,
     MemoryCapError,
@@ -25,6 +27,25 @@ from infolattice.states import (
 )
 
 SQ2 = 1 / np.sqrt(2)
+
+
+def kron_oracle(state: PureState, u: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
+    """Amplitudes after ``u`` on ``sites``: move the sites to the front in
+    their given order, apply ``u`` (x) identity as a full matrix, move back."""
+    rest = [s for s in range(state.num_sites) if s not in sites]
+    order = list(sites) + rest
+    full = np.kron(u, np.eye(math.prod(state.dims[s] for s in rest)))
+    moved = full @ state.tensor().transpose(order).ravel()
+    return moved.reshape([state.dims[s] for s in order]).transpose(np.argsort(order)).ravel()
+
+
+@st.composite
+def placements(draw):
+    """A mixed qubit/qutrit chain and one to three distinct sites in any order."""
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=6)))
+    count = draw(st.integers(1, min(3, len(dims))))
+    sites = tuple(draw(st.permutations(range(len(dims))))[:count])
+    return dims, sites
 
 
 class TestConstruction:
@@ -91,9 +112,9 @@ class TestApplyUnitary:
 
     def test_ghz_circuit_amplitudes(self):
         s = PureState.from_label("0000")
-        s = s.apply_gate("H", 0)
+        s = s.apply_unitary(gate_matrix("H"), 0)
         for c in range(3):
-            s = s.apply_gate("CNOT", c, c + 1)
+            s = s.apply_unitary(gate_matrix("CNOT"), c, c + 1)
         expected = np.zeros(16, dtype=complex)
         expected[0] = expected[15] = SQ2
         np.testing.assert_allclose(s.amps, expected, atol=1e-15)
@@ -116,19 +137,47 @@ class TestApplyUnitary:
 
     def test_bad_block_rejected(self):
         s = PureState.computational((2, 3), (0, 0))
-        with pytest.raises(DimensionMismatchError):
-            s.apply_unitary(np.eye(4), 0)  # 2*3 block, side 4 never matches
+        for sites in ((0,), (1,), (0, 1), (1, 0)):  # sides 2, 3, 6 and 6, never 4
+            with pytest.raises(DimensionMismatchError):
+                s.apply_unitary(np.eye(4), *sites)
 
     def test_out_of_range(self):
         s = PureState.from_label("00")
-        with pytest.raises(IndexError):
-            s.apply_unitary(np.eye(2), 5)
+        for sites in ((5,), (-1,), (0, 2)):
+            with pytest.raises(IndexError):
+                s.apply_unitary(np.eye(2 ** len(sites)), *sites)
+
+    def test_repeated_site_rejected(self):
+        s = PureState.from_label("000")
+        # a repeated site is refused before the side is compared: eye(4) would
+        # match the product 2*2 of the two entries
+        with pytest.raises(ValueError, match="not distinct") as info:
+            s.apply_unitary(np.eye(4), 1, 1)
+        assert info.type is ValueError
 
     def test_nonadjacent_two_qubit_gate(self):
-        s = PureState.from_label("000").apply_gate("H", 0).apply_gate("CNOT", 0, 2)
+        h, cnot = gate_matrix("H"), gate_matrix("CNOT")
+        s = PureState.from_label("000").apply_unitary(h, 0).apply_unitary(cnot, 0, 2)
         expected = np.zeros(8, dtype=complex)
         expected[0b000] = expected[0b101] = SQ2
         np.testing.assert_allclose(s.amps, expected, atol=1e-15)
+        # descending: the control is site 2, the first (most significant) site
+        s = PureState.from_label("000").apply_unitary(h, 2).apply_unitary(cnot, 2, 0)
+        np.testing.assert_allclose(s.amps, expected, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(placements(), st.integers(0, 2**32 - 1))
+    @example(((2, 3, 2, 3, 2), (4, 1)), 0)  # descending, non-adjacent, mixed
+    @example(((3, 2, 2, 3), (3, 0, 2)), 1)
+    def test_matches_kron_oracle(self, placement, seed):
+        dims, sites = placement
+        rng = np.random.default_rng(seed)
+        state = haar_random_state(dims, rng)
+        side = math.prod(dims[s] for s in sites)
+        u = scipy.stats.unitary_group.rvs(side, random_state=rng) if side > 1 else np.eye(1)
+        out = state.apply_unitary(u, *sites)
+        assert out.dims == dims
+        np.testing.assert_allclose(out.amps, kron_oracle(state, u, sites), atol=1e-13, rtol=0)
 
 
 class TestReducedDensity:
@@ -264,9 +313,9 @@ class TestEntropy:
         iv = SupportInterval(1, 3)
         base = s.entropy_of_interval(iv)
         u_in = scipy.stats.unitary_group.rvs(8, random_state=1)
-        assert abs(s.apply_unitary(u_in, 1).entropy_of_interval(iv) - base) < 1e-9
+        assert abs(s.apply_unitary(u_in, 1, 2, 3).entropy_of_interval(iv) - base) < 1e-9
         u_out = scipy.stats.unitary_group.rvs(4, random_state=2)
-        assert abs(s.apply_unitary(u_out, 4).entropy_of_interval(iv) - base) < 1e-9
+        assert abs(s.apply_unitary(u_out, 5, 0).entropy_of_interval(iv) - base) < 1e-9
 
 
 class TestApplyPauli:
