@@ -6,10 +6,11 @@ Exactly one state source per invocation (named reference, circuit file,
 amplitude file, or Potts spec).  ``--L`` is read by named references and gate
 files only; the other sources fix their own length and reject it.  A random
 circuit spec carries its own seed, so outputs are byte-identical across runs.
-A Clifford source (named reference, generator file, Clifford gate file or
-random Clifford spec) stays a tableau: lattice, summarize and witness read its
-exact integer lattice, and only gamma_folded (``--fold``, always for witness),
-``fold`` and ``circuit-run`` go through its dense state.
+Every subcommand resolves its source with ``load_state``.  A Clifford source
+(named reference, generator file, Clifford gate file or random Clifford spec)
+stays a tableau: lattice, summarize and witness read its exact integer
+lattice, mlgs and circuit-run its generators.  Only gamma_folded (``--fold``,
+always for witness) and ``fold`` densify it, through the exact dense bridge.
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical failures
 (running out of memory included).
 """
@@ -157,44 +158,41 @@ def _parse_potts_arg(text: str) -> dict:
     return spec
 
 
-def _reference(args: argparse.Namespace, build):
-    """``build(name, length)`` for a named reference given by --state and --L."""
-    if args.length is None:
-        raise ConfigurationError("--state needs --L")
-    return build(args.state, args.length)
-
-
 def _reject_length(args: argparse.Namespace, source: str) -> None:
     """Raise if --L is given to a source that fixes its own length."""
     if args.length is not None:
         raise ConfigurationError(f"--L is read only with --state or a gate file, not with {source}")
 
 
-def _check_one_source(args: argparse.Namespace) -> None:
-    """Raise unless exactly one of the subcommand's state source flags is given."""
+def _one_source(args: argparse.Namespace) -> str:
+    """The source flag given; raise unless it is the only one of the subcommand's."""
     flags = [f for f in ("state", "circuit", "amplitudes", "potts") if hasattr(args, f)]
-    if sum(getattr(args, f) is not None for f in flags) != 1:
+    given = [f for f in flags if getattr(args, f) is not None]
+    if len(given) != 1:
         listed = ", ".join(f"--{f}" for f in flags)
         raise ConfigurationError(f"exactly one state source required ({listed})")
+    return given[0]
 
 
 def load_state(
-    args: argparse.Namespace, dense: bool = False
+    args: argparse.Namespace, clifford_only: bool = False
 ) -> StabilizerTableau | PureState:
-    """Resolve the configured state source.
+    """Resolve the configured state source, the one resolver of every subcommand.
 
     A Clifford source, a named reference included, resolves to its tableau
-    and any other source to its dense state.  With ``dense`` every source
-    resolves to a dense state: a named reference to ``reference_state``, a
-    Clifford circuit file through ``statevector_from_tableau``.
+    and any other source to its dense state.  With ``clifford_only`` a
+    non-Clifford circuit file raises NonCliffordGateError before any dense
+    state is built.
     """
-    _check_one_source(args)
-    if args.state is not None:
-        return _reference(args, models.reference_state if dense else models.reference_tableau)
-    if args.amplitudes is not None:
+    source = _one_source(args)
+    if source == "state":
+        if args.length is None:
+            raise ConfigurationError("--state needs --L")
+        return models.reference_tableau(args.state, args.length)
+    if source == "amplitudes":
         _reject_length(args, "--amplitudes")
         return load_amplitudes(args.amplitudes)
-    if args.potts is not None:
+    if source == "potts":
         _reject_length(args, "--potts")
         spec = _parse_potts_arg(args.potts)
         try:
@@ -205,20 +203,6 @@ def load_state(
             raise ConfigurationError(f"bad potts spec: {exc}") from None
         gs, _ = models.symmetric_ground_state(models.PottsSpec(n, j, h))
         return models.embed_qutrit_to_spins(gs)
-    source = load_circuit(args)
-    if dense and isinstance(source, StabilizerTableau):
-        return statevector_from_tableau(source)
-    return source
-
-
-def load_circuit(
-    args: argparse.Namespace, clifford_only: bool = False
-) -> StabilizerTableau | PureState:
-    """The --circuit source: its tableau if it is Clifford, else its dense state.
-
-    With ``clifford_only`` a non-Clifford source raises NonCliffordGateError
-    before any dense state is built.
-    """
     kind, payload = circuits.load_circuit_file(args.circuit)
     if kind != "gates":
         _reject_length(args, f"a {kind} circuit file")
@@ -287,7 +271,10 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_fold(args) -> int:
-    _emit_amplitudes(fold(load_state(args, dense=True)), args)
+    source = load_state(args)
+    if isinstance(source, StabilizerTableau):
+        source = statevector_from_tableau(source)
+    _emit_amplitudes(fold(source), args)
     return 0
 
 
@@ -303,11 +290,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_mlgs(args) -> int:
-    _check_one_source(args)
-    if args.state is not None:
-        t = _reference(args, models.reference_tableau)
-    else:
-        t = load_circuit(args, clifford_only=True)
+    t = load_state(args, clifford_only=True)
     entries = t.maximally_local_generating_set()
     if args.json:
         payload = {
@@ -365,8 +348,7 @@ def cmd_potts_sweep(args) -> int:
 
 
 def cmd_circuit_run(args) -> int:
-    _check_one_source(args)
-    source = load_circuit(args)
+    source = load_state(args)
     if isinstance(source, PureState):
         _emit_amplitudes(source, args)
     elif args.format == "json":

@@ -130,7 +130,7 @@ def gate_matrix(name: str) -> np.ndarray:
         return MATRICES_1Q[name]
     if name in MATRICES_2Q:
         return MATRICES_2Q[name]
-    raise KeyError(f"no dense matrix for gate {name!r}")
+    raise ValueError(f"no dense matrix for gate {name!r}")
 
 
 def word_matrix(word: tuple[Gate, ...], num_qubits: int) -> np.ndarray:

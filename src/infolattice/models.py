@@ -1,4 +1,4 @@
-"""State factory: reference states, T-doped circuits, and the spin-1/2
+"""State factory: named reference tableaux, T-doped circuits, and the spin-1/2
 three-state Potts chain with a symmetric-sector ground-state solver.
 
 The Potts Hamiltonian on N qutrits (open boundaries) is
@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,8 +55,10 @@ TRIPLET_ISOMETRY = np.array(
 # reference states
 
 
-def _reference_name(name: str, length: int) -> str:
-    """Lower-cased name of a named reference, checked against its lengths."""
+def reference_tableau(name: str, length: int) -> StabilizerTableau:
+    """Stabilizer tableau of a named qubit reference: ``neel``, ``bell`` (L=4
+    only), ``ghz``; ``tableau.statevector_from_tableau`` gives its exact
+    dense state."""
     name = name.lower()
     if name == "neel" and length < 1:
         raise ConfigurationError("neel needs L >= 1")
@@ -66,28 +68,6 @@ def _reference_name(name: str, length: int) -> str:
         raise ConfigurationError("ghz needs L >= 2")
     if name not in ("neel", "bell", "ghz"):
         raise ConfigurationError(f"unknown reference state {name!r}")
-    return name
-
-
-def reference_state(name: str, length: int) -> PureState:
-    """Named qubit reference states: ``neel``, ``bell`` (L=4 only), ``ghz``."""
-    name = _reference_name(name, length)
-    if name == "neel":
-        return PureState.from_label("".join(str(j % 2) for j in range(length)))
-    if name == "bell":
-        amps = np.zeros(16, dtype=complex)
-        amps[0b0101] = amps[0b0011] = 1.0 / np.sqrt(2.0)
-        return PureState(amps, (2, 2, 2, 2))
-    return cat_state(2, length)
-
-
-def reference_tableau(name: str, length: int) -> StabilizerTableau:
-    """The stabilizer tableau of :func:`reference_state` (same names and lengths).
-
-    Its statevector agrees with ``reference_state`` only to rounding (about
-    1e-16), so each engine keeps its own construction.
-    """
-    name = _reference_name(name, length)
     if name == "neel":
         return StabilizerTableau.from_generators(
             [PauliString.single(length, j, "Z", phase_exp=2 * (j % 2)) for j in range(length)]
@@ -204,79 +184,52 @@ class PottsSpec:
             )
 
 
-# The index tables below depend only on N.  Each is computed once per N (the
-# caches hold a few N at a time) and returned read-only, so every caller can
-# share them.
+class _PottsTables(NamedTuple):
+    """Index tables of the N-qutrit chain, all read-only arrays.
+
+    ``bonds``: real part of ``conj(z_i) z_{i+1} + z_i conj(z_{i+1})`` on every
+    basis index, one row per bond i (the imaginary part cancels exactly).
+    ``shifts``: the field's permutations X_i and Xd_i, one row each.
+    ``charge``: the global shift ``prod_i X_i``.  ``cols``: sector column of
+    every basis index, the rank of the smallest member of its orbit under the
+    global shift.  ``reps``: that smallest member of each column's orbit.
+    ``sector_shifts``: the field's tables in the sector, ``cols[shifts[:, reps]]``.
+    """
+
+    bonds: np.ndarray
+    shifts: np.ndarray
+    charge: np.ndarray
+    cols: np.ndarray
+    reps: np.ndarray
+    sector_shifts: np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
-def _digits(n: int) -> np.ndarray:
-    """Qutrit digits of every basis index, site 0 most significant."""
-    digits = np.arange(3**n)[:, None] // 3 ** np.arange(n - 1, -1, -1) % 3
-    digits.setflags(write=False)
-    return digits
+def _tables(n: int) -> _PottsTables:
+    """The index tables of N qutrits, computed once per N and shared by every
+    caller (the cache holds a few N at a time)."""
+    index = np.arange(3**n)
+    weights = 3 ** np.arange(n - 1, -1, -1)
+    digits = index[:, None] // weights % 3  # site 0 most significant
 
+    def shifted(sites: list[int], step: int) -> np.ndarray:
+        # every index after adding step mod 3 to its digits at the sites
+        d = digits[:, sites]
+        return index + ((d + step) % 3 - d) @ weights[sites]
 
-@functools.lru_cache(maxsize=64)
-def _shifted(n: int, sites: tuple[int, ...], step: int) -> np.ndarray:
-    """Every basis index after adding ``step`` mod 3 to the digits at ``sites``."""
-    digits = _digits(n)[:, sites]
-    weights = 3 ** (n - 1 - np.array(sites))
-    shifted = np.arange(3**n) + ((digits + step) % 3 - digits) @ weights
-    shifted.setflags(write=False)
-    return shifted
-
-
-@functools.lru_cache(maxsize=4)
-def _orbit_columns(n: int) -> np.ndarray:
-    """Sector column of every basis index: the rank of the smallest member of
-    its orbit under the global shift."""
-    every = tuple(range(n))
-    smallest = np.minimum.reduce([np.arange(3**n), _shifted(n, every, 1), _shifted(n, every, 2)])
-    _, cols = np.unique(smallest, return_inverse=True)
-    cols.setflags(write=False)
-    return cols
-
-
-@functools.lru_cache(maxsize=4)
-def _bond_terms(n: int) -> np.ndarray:
-    """Real part of ``conj(z_i) z_{i+1} + z_i conj(z_{i+1})`` on every basis
-    index, one row per bond i; the imaginary part cancels exactly."""
-    z = np.diag(CLOCK_Z)[_digits(n)]
+    z = np.diag(CLOCK_Z)[digits]
     bonds = np.array(
         [(z[:, i].conj() * z[:, i + 1] + z[:, i] * z[:, i + 1].conj()).real for i in range(n - 1)]
     )
-    bonds.setflags(write=False)
-    return bonds
-
-
-@functools.lru_cache(maxsize=4)
-def _field_shifts(n: int) -> np.ndarray:
-    """Index tables of the field's permutations X_i and Xd_i, one row each.
-
-    The rows are computed past ``_shifted``'s cache, which would otherwise
-    keep a second copy of each.
-    """
-    rows = [_shifted.__wrapped__(n, (i,), step) for i in range(n) for step in (1, 2)]
-    shifts = np.array(rows)
-    shifts.setflags(write=False)
-    return shifts
-
-
-@functools.lru_cache(maxsize=4)
-def _sector_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit representatives and the field's index tables in the sector.
-
-    The representative of sector column c is the smallest member of its
-    orbit; the tables are ``cols[shifts[:, reps]]``, with ``cols`` the orbit
-    columns and ``shifts`` the full-space field tables.
-    """
-    cols = _orbit_columns(n)
+    shifts = np.array([shifted([i], step) for i in range(n) for step in (1, 2)])
+    every = list(range(n))
+    charge = shifted(every, 1)
+    _, cols = np.unique(np.minimum.reduce([index, charge, shifted(every, 2)]), return_inverse=True)
     reps = np.unique(cols, return_index=True)[1]
-    sector_shifts = cols[_field_shifts(n)[:, reps]]
-    reps.setflags(write=False)
-    sector_shifts.setflags(write=False)
-    return reps, sector_shifts
+    tables = _PottsTables(bonds, shifts, charge, cols, reps, cols[shifts[:, reps]])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -309,18 +262,18 @@ def potts_hamiltonian(spec: PottsSpec) -> PottsOperator:
     tables are shared between calls of one N and, like the diagonal,
     read-only.
     """
-    n = spec.qutrits
-    diag = np.zeros(3**n)
-    for bond in _bond_terms(n):
+    tables = _tables(spec.qutrits)
+    diag = np.zeros(3**spec.qutrits)
+    for bond in tables.bonds:
         diag = diag - (spec.coupling / 3.0) * bond
     diag.setflags(write=False)
-    return PottsOperator(diag, _field_shifts(n), float(spec.field))
+    return PottsOperator(diag, tables.shifts, float(spec.field))
 
 
 def charge_operator(n: int) -> np.ndarray:
     """Global shift ``Q = prod_i X_i`` as its basis permutation ``perm``:
     ``Q|b> = |perm[b]>``, so ``Q @ v`` is the vector ``w`` with ``w[perm] = v``."""
-    return _shifted(n, tuple(range(n)), 1)
+    return _tables(n).charge
 
 
 def symmetric_sector_isometry(n: int) -> np.ndarray:
@@ -332,7 +285,7 @@ def symmetric_sector_isometry(n: int) -> np.ndarray:
     by the orbit's smallest member.  So ``P[b, cols[b]] = 1/sqrt(3)`` is the
     only nonzero entry of row b, and ``P @ u = u[cols] / sqrt(3)``.
     """
-    return _orbit_columns(n)
+    return _tables(n).cols
 
 
 # largest accepted eigen-residual ||H v - E v|| of a computed ground state
@@ -408,8 +361,8 @@ def symmetric_ground_state(spec: PottsSpec) -> tuple[PureState, float]:
     n = spec.qutrits
     h = potts_hamiltonian(spec)
     cols = symmetric_sector_isometry(n)
-    reps, sector_shifts = _sector_tables(n)
-    energy, u = _lanczos_lowest(PottsOperator(h.diag[reps], sector_shifts, h.field))
+    tables = _tables(n)
+    energy, u = _lanczos_lowest(PottsOperator(h.diag[tables.reps], tables.sector_shifts, h.field))
     v = u[cols] * (1.0 / np.sqrt(3.0))
     v = v / np.linalg.norm(v)
     v = v * np.sign(v[int(np.argmax(np.abs(v)))])

@@ -303,16 +303,22 @@ MAX_DENSE_SITES = 20
 
 
 def statevector_from_tableau(t: StabilizerTableau) -> PureState:
-    """Dense unit vector stabilized by all generators (up to global phase).
+    """Dense unit vector stabilized by all generators, exact in every bit.
 
-    Projects a fixed pseudorandom vector with (1+g)/2 for every generator and
-    verifies g|psi> = |psi> to 1e-10.  Deterministic: the seed of the probe
-    vector is fixed, and the global phase is fixed by making the largest
-    amplitude real positive.
+    Projects a fixed pseudorandom vector with (1+g)/2 for every generator.
+    A stabilizer state's amplitudes are c * {0, +-1, +-i} with c = 2^(-k/2)
+    (Dehaene & De Moor, PRA 68, 042318), so the result is snapped: the
+    support is every amplitude above half the largest, the largest becomes c
+    (which fixes the global phase) and every other one c times its nearest
+    unit relative to it; zeros are +0.0.  The snapped vector is verified to
+    satisfy g|psi> = |psi> to 1e-10.  Rows not of rank L (dependent rows) fix
+    no single state and raise TableauConsistencyError before any projection.
     """
     L = t.length
     if L > MAX_DENSE_SITES:
         raise MemoryCapError(f"dense bridge refused for L={L} > {MAX_DENSE_SITES}")
+    if len(t._clipped_gauge()) != L:
+        raise TableauConsistencyError(f"rows not of rank {L}: no single stabilized state")
     dim = 1 << L
     gens = t.generators
     for attempt in range(8):
@@ -322,9 +328,14 @@ def statevector_from_tableau(t: StabilizerTableau) -> PureState:
             v = 0.5 * (v + apply_pauli(v, L, g))
         norm = float(np.linalg.norm(v))
         if norm > 1e-6:
-            v = v / norm
-            k = int(np.argmax(np.abs(v)))
-            v = v * (abs(v[k]) / v[k])
+            mag = np.abs(v)
+            k = int(np.argmax(mag))
+            support = mag > 0.5 * mag[k]
+            unit = np.where(support, v * (1.0 / v[k]), 0.0)  # v[k] itself becomes 1
+            c = 1.0 / np.sqrt(np.count_nonzero(support))
+            v = np.empty(dim, dtype=complex)
+            v.real = np.rint(unit.real) * c + 0.0
+            v.imag = np.rint(unit.imag) * c + 0.0
             for g in gens:
                 if float(np.max(np.abs(apply_pauli(v, L, g) - v))) > 1e-10:
                     raise TableauConsistencyError(

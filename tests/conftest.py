@@ -1,5 +1,5 @@
 """Shared helpers: dense and elementary-gate oracles for brickwork circuits,
-a dense oracle for Pauli strings, the site reflection, Pauli products, spans
+a dense oracle for Pauli strings, the dense named references, the site reflection, Pauli products, spans
 and supports, gauge entropies, the Clifford word tables, the canonical
 random-circuit ensemble, and crossings of sweep curves."""
 
@@ -11,6 +11,7 @@ import pytest
 from infolattice import _kernels, cliffords
 from infolattice.errors import DimensionMismatchError
 from infolattice.lattice import InfoLattice
+from infolattice.models import cat_state
 from infolattice.pauli import PauliString, SupportInterval
 from infolattice.states import PureState
 from infolattice.tableau import CliffordCircuit, StabilizerTableau
@@ -116,6 +117,18 @@ def assert_lattices_close(a: InfoLattice, b: InfoLattice, atol: float) -> None:
     assert a.num_sites == b.num_sites
     for row_a, row_b in zip(a.rows, b.rows):
         np.testing.assert_allclose(row_a, row_b, atol=atol, rtol=0.0)
+
+
+def reference_state(name: str, length: int) -> PureState:
+    """Dense oracle of ``models.reference_tableau``: ``neel``, ``bell`` (L=4), ``ghz``."""
+    if name == "neel":
+        return PureState.from_label("".join(str(j % 2) for j in range(length)))
+    if name == "bell":
+        amps = np.zeros(16, dtype=complex)
+        amps[0b0101] = amps[0b0011] = 1.0 / np.sqrt(2.0)
+        return PureState(amps, (2, 2, 2, 2))
+    assert name == "ghz"
+    return cat_state(2, length)
 
 
 def edge_bell_state(length: int) -> PureState:

@@ -18,6 +18,7 @@ from conftest import (
     ensemble_specs,
     mirror_lattice,
     mirror_state,
+    reference_state,
     stabilizer_entropy,
 )
 from infolattice import (
@@ -36,7 +37,6 @@ from infolattice.models import (
     embed_qutrit_to_spins,
     potts_point,
     potts_sweep,
-    reference_state,
     t_doped_state,
 )
 from infolattice.pauli import SupportInterval

@@ -80,6 +80,9 @@ INVOCATIONS = [
     ["summarize", "--circuit", "{clifford64}"],
     ["lattice", "--state", "ghz", "--L", "30"],
     ["witness", "--circuit", "{clifford12}", "--json"],
+    # a Clifford source densified by fold, and a named reference through mlgs
+    ["fold", "--circuit", "{clifford}", "--format", "json"],
+    ["mlgs", "--state", "ghz", "--L", "5"],
     *REJECTED,
 ]
 

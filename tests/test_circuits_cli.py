@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 import jsonschema
 
 import infolattice
+from conftest import reference_state
 from infolattice import circuits, gates, load_amplitudes, models
 from infolattice.cli import main
 from infolattice.errors import (
@@ -21,7 +23,6 @@ from infolattice.errors import (
     NonCliffordGateError,
     NumericalError,
 )
-from infolattice.models import reference_state
 from infolattice.pauli import PauliString
 from infolattice.states import PureState, amplitudes_text
 from infolattice.tableau import (
@@ -623,8 +624,8 @@ class TestCLI:
     @pytest.mark.parametrize(
         "target,argv",
         [
-            # lattice reads a named reference's tableau; fold builds its dense state
-            ("infolattice.models.reference_state", ["fold", "--state", "ghz", "--L", "40"]),
+            # fold densifies a named reference's tableau through the bridge
+            ("infolattice.cli.statevector_from_tableau", ["fold", "--state", "ghz", "--L", "40"]),
             ("infolattice.models.symmetric_ground_state", ["witness", "--potts", "N=25"]),
         ],
     )
@@ -636,6 +637,19 @@ class TestCLI:
         assert self.run(*argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and "Traceback" not in err
+
+    def test_fold_past_the_bridge_cap_allocates_nothing(self, capsys):
+        # the named reference is a 40-qubit tableau; the bridge refuses it by
+        # its length before any amplitude is allocated
+        tracemalloc.start()
+        try:
+            code = self.run("fold", "--state", "ghz", "--L", "40")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1 << 20
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: dense bridge refused for L=40")
 
     # flags that subcommands used to parse without reading, and the deleted
     # --threads; the base invocations are valid, so only the flag can make
@@ -738,7 +752,7 @@ class TestCLI:
 # and lattice on a gate file; None means the gate runs.
 GATE_L = 3
 GATE_RULE = [
-    ("unknown", ("FOO", (0,)), NonCliffordGateError, KeyError, NonCliffordGateError, ValueError, 2),
+    ("unknown", ("FOO", (0,)), NonCliffordGateError, ValueError, NonCliffordGateError, ValueError, 2),
     ("T", ("T", (0,)), NonCliffordGateError, None, NonCliffordGateError, None, 0),
     ("arity", ("H", (0, 1)), ValueError, DimensionMismatchError, ValueError, ValueError, 2),
     ("qubit=L", ("H", (GATE_L,)), IndexError, IndexError, ConfigurationError, ConfigurationError, 2),

@@ -11,7 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_lattices_close, edge_bell_state, mirror_lattice, mirror_state
+from conftest import (
+    assert_lattices_close,
+    edge_bell_state,
+    mirror_lattice,
+    mirror_state,
+    reference_state,
+)
 from infolattice import (
     InfoLattice,
     PureState,
@@ -29,7 +35,6 @@ from infolattice.models import (
     PottsSpec,
     cat_state,
     embed_qutrit_to_spins,
-    reference_state,
     symmetric_ground_state,
 )
 from infolattice.states import haar_random_state

@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import assert_lattices_close, crossing_brackets
+from conftest import assert_lattices_close, crossing_brackets, reference_state
 from infolattice import PureState, compute_lattice, summarize
 from infolattice.errors import ConfigurationError, NumericalError
 from infolattice import models
@@ -26,7 +26,6 @@ from infolattice.models import (
     potts_hamiltonian,
     potts_point,
     potts_sweep,
-    reference_state,
     reference_tableau,
     symmetric_ground_state,
     symmetric_sector_isometry,
@@ -82,24 +81,24 @@ def isometry_matrix(n):
 
 class TestReferenceStates:
     def test_neel(self):
-        s = reference_state("neel", 4)
+        s = statevector_from_tableau(reference_tableau("neel", 4))
         assert np.argmax(np.abs(s.amps)) == 0b0101
 
     def test_bell(self):
-        s = reference_state("bell", 4)
+        s = statevector_from_tableau(reference_tableau("bell", 4))
         expected = np.zeros(16, dtype=complex)
         expected[0b0101] = expected[0b0011] = SQ2
         np.testing.assert_allclose(s.amps, expected, atol=1e-15)
         with pytest.raises(ConfigurationError):
-            reference_state("bell", 6)
+            reference_tableau("bell", 6)
 
     def test_ghz(self):
-        s = reference_state("ghz", 10)
+        s = statevector_from_tableau(reference_tableau("ghz", 10))
         assert abs(s.amps[0] - SQ2) < 1e-15 and abs(s.amps[-1] - SQ2) < 1e-15
 
     def test_unknown(self):
         with pytest.raises(ConfigurationError):
-            reference_state("w_state", 4)
+            reference_tableau("w_state", 4)
 
     @pytest.mark.parametrize(
         "name,length",
@@ -108,17 +107,14 @@ class TestReferenceStates:
     def test_tableau_matches_dense(self, name, length):
         dense = reference_state(name, length)
         t = reference_tableau(name, length)
-        overlap = np.vdot(dense.amps, statevector_from_tableau(t).amps)
-        assert abs(abs(overlap) - 1.0) < 1e-12
         assert_lattices_close(t.integer_info_lattice(), compute_lattice(dense), 1e-9)
 
     @pytest.mark.parametrize(
         "name,length", [("neel", 0), ("ghz", 1), ("bell", 3), ("bell", 6), ("w_state", 4)]
     )
-    def test_both_engines_reject_the_same_names_and_lengths(self, name, length):
-        for build in (reference_state, reference_tableau):
-            with pytest.raises(ConfigurationError):
-                build(name, length)
+    def test_rejected_names_and_lengths(self, name, length):
+        with pytest.raises(ConfigurationError):
+            reference_tableau(name, length)
 
     def test_cat_state(self):
         c = cat_state(3, 4)
@@ -190,19 +186,6 @@ class TestPottsHamiltonian:
             PottsSpec(3, coupling=0.0, field=0.0)
 
 
-def clear_potts_tables():
-    tables = (
-        models._digits,
-        models._shifted,
-        models._orbit_columns,
-        models._bond_terms,
-        models._field_shifts,
-        models._sector_tables,
-    )
-    for table in tables:
-        table.cache_clear()
-
-
 OPERATOR_BUILDERS = {
     "hamiltonian": lambda: potts_hamiltonian(PottsSpec(3, 1.0, 0.4)),
     "isometry": lambda: symmetric_sector_isometry(3),
@@ -217,29 +200,39 @@ def operator_arrays(op):
 class TestPottsTables:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cached_tables_are_read_only(self, n):
-        every = tuple(range(n))
-        tables = [
-            models._digits(n),
-            models._shifted(n, (0,), 1),
-            models._shifted(n, every, 2),
-            models._orbit_columns(n),
-            models._bond_terms(n),
-            models._field_shifts(n),
-            *models._sector_tables(n),
-        ]
+        tables = models._tables(n)
+        assert models._tables(n) is tables
+        with pytest.raises(AttributeError):  # a named tuple
+            tables.cols = tables.reps
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 1
 
-    def test_shift_tables_match_digit_arithmetic(self):
-        n = 4
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_shift_tables_match_digit_arithmetic(self, n):
+        tables = models._tables(n)
         weights = 3 ** np.arange(n - 1, -1, -1)
-        for sites in [(0,), (2,), (3,), (1, 3), (0, 1, 2, 3)]:
-            for step in (1, 2):
-                digits = np.array(models._digits(n))
-                digits[:, sites] = (digits[:, sites] + step) % 3
-                assert np.array_equal(models._shifted(n, sites, step), digits @ weights)
+        digits = np.arange(3**n)[:, None] // weights % 3
+
+        def shifted(sites, step):
+            moved = digits.copy()
+            moved[:, sites] = (moved[:, sites] + step) % 3
+            return moved @ weights
+
+        expected = [shifted([i], step) for i in range(n) for step in (1, 2)]
+        assert np.array_equal(tables.shifts, expected)
+        assert np.array_equal(tables.charge, shifted(list(range(n)), 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_sector_columns_are_ranked_orbit_minima(self, n):
+        tables = models._tables(n)
+        orbits = np.stack([np.arange(3**n), tables.charge, tables.charge[tables.charge]])
+        minima = np.unique(orbits.min(axis=0))
+        assert np.array_equal(tables.reps, minima)
+        assert np.array_equal(tables.cols[tables.reps], np.arange(3 ** (n - 1)))
+        assert np.array_equal(tables.cols[orbits], np.broadcast_to(tables.cols, orbits.shape))
+        assert np.array_equal(tables.sector_shifts, tables.cols[tables.shifts[:, tables.reps]])
 
     @pytest.mark.parametrize("build", OPERATOR_BUILDERS.values(), ids=OPERATOR_BUILDERS)
     def test_returned_operators_are_read_only(self, build):
@@ -259,7 +252,7 @@ class TestPottsTables:
         fresh = []
         for length in (8, 6, 8):
             for field in fields:
-                clear_potts_tables()
+                models._tables.cache_clear()
                 fresh.append(potts_point(length, field)[0])
         assert rows == fresh
 
@@ -293,8 +286,8 @@ class TestSymmetricSector:
         # the solver's operator on the orbit representatives is P^T H P
         spec = PottsSpec(n, j, field)
         h = potts_hamiltonian(spec)
-        reps, sector_shifts = models._sector_tables(n)
-        sector = PottsOperator(h.diag[reps], sector_shifts, h.field)
+        tables = models._tables(n)
+        sector = PottsOperator(h.diag[tables.reps], tables.sector_shifts, h.field)
         dense = dense_operator(sector.__matmul__, 3 ** (n - 1))
         np.testing.assert_allclose(dense, sector_matrix(spec), rtol=0, atol=1e-14)
 

@@ -14,6 +14,7 @@ from conftest import (
     ensemble_specs,
     multiply,
     random_pauli,
+    reference_state,
     row_reduce,
     span,
     stabilizer_entropy,
@@ -25,7 +26,9 @@ from infolattice.errors import (
     NonCliffordGateError,
     TableauConsistencyError,
 )
+from infolattice.models import reference_tableau
 from infolattice.pauli import PauliString, SupportInterval
+from infolattice.states import apply_pauli
 from infolattice.tableau import (
     StabilizerTableau,
     brickwork_bonds,
@@ -493,6 +496,47 @@ class TestStatevectorBridge:
     def test_size_guard(self):
         with pytest.raises(MemoryCapError):
             statevector_from_tableau(StabilizerTableau.zero_state(24))
+
+    @pytest.mark.parametrize(
+        "name,length",
+        [("neel", L) for L in range(1, 21)] + [("ghz", L) for L in range(2, 21)] + [("bell", 4)],
+    )
+    def test_named_references_bit_identical_to_oracle(self, name, length):
+        psi = statevector_from_tableau(reference_tableau(name, length))
+        expected = reference_state(name, length).amps
+        assert psi.amps.dtype == expected.dtype and psi.amps.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("length", range(2, 13))
+    def test_random_brickwork_amplitudes_are_exact(self, length):
+        for layers, seed in [(1, 0), (3, 1), (length, 2), (length, 3)]:
+            t = random_clifford_circuit(length, layers, seed).apply_to_tableau(
+                StabilizerTableau.zero_state(length)
+            )
+            v = statevector_from_tableau(t).amps
+            support = np.flatnonzero(v)
+            size = support.size
+            assert size & (size - 1) == 0  # a power of two
+            c = 1.0 / np.sqrt(size)
+            units = np.stack([v.real[support], v.imag[support]]) / c
+            assert np.array_equal(np.abs(units).sum(axis=0), np.ones(size))
+            assert set(units.ravel().tolist()) <= {-1.0, 0.0, 1.0}
+            # zeros are +0.0; apply_pauli's complex sign factor can leave -0.0,
+            # which adding +0.0 folds back
+            planes = np.stack([v.real, v.imag])
+            assert not np.signbit(planes[planes == 0]).any()
+            for g in t.generators:
+                assert (apply_pauli(v, length, g) + 0.0).tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows", [["ZI", "II"], ["ZII", "ZII", "III"], ["ZI", "-ZI"]], ids=str
+    )
+    def test_dependent_rows_rejected(self, rows):
+        gens = [P(label) for label in rows]
+        t = StabilizerTableau(
+            gens[0].length, [g.x for g in gens], [g.z for g in gens], [g.phase_exp for g in gens]
+        )
+        with pytest.raises(TableauConsistencyError, match="no single stabilized state"):
+            statevector_from_tableau(t)
 
 
 class TestRandomCircuit:

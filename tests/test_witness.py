@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import edge_bell_state
+from conftest import edge_bell_state, reference_state
 from infolattice import (
     PureState,
     StabilizerTableau,
@@ -20,7 +20,6 @@ from infolattice.errors import ConfigurationError
 from infolattice.models import (
     cat_state,
     embed_qutrit_to_spins,
-    reference_state,
 )
 from infolattice.states import haar_random_state
 from infolattice.tableau import random_clifford_circuit
