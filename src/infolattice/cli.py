@@ -11,8 +11,8 @@ Every subcommand resolves its source with ``load_state``.  A Clifford source
 stays a tableau: lattice, summarize and witness read its exact integer
 lattice, mlgs and circuit-run its generators.  Only gamma_folded (``--fold``,
 always for witness) and ``fold`` densify it, through the exact dense bridge.
-Exit codes: 0 on success, 2 on configuration errors, 3 on numerical failures
-(running out of memory included).
+Exit codes: 0 on success, 2 on configuration errors and unreadable or
+unwritable paths, 3 on numerical failures (running out of memory included).
 """
 
 from __future__ import annotations
@@ -22,17 +22,13 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
 
 from . import circuits, models
-from .errors import (
-    NUMERICAL_FAILURES,
-    ConfigurationError,
-    DimensionMismatchError,
-    NonCliffordGateError,
-)
+from .errors import NUMERICAL_FAILURES, ConfigurationError, NonCliffordGateError
 from .lattice import (
     DEFAULT_GAP_THRESHOLD,
     InfoLattice,
@@ -71,26 +67,10 @@ def _json_text(payload) -> str:
 
 
 def summary_dict(summary: LatticeSummary) -> dict:
-    return {
-        "L": summary.num_sites,
-        "gap_threshold": summary.gap_threshold,
-        "info_per_scale": list(summary.info_per_scale),
-        "omega": summary.omega,
-        "gamma": summary.gamma,
-        "total_information": summary.total_information,
-        "gap": None
-        if summary.gap is None
-        else {
-            "start": summary.gap.start,
-            "end": summary.gap.end,
-            "max_inside": summary.gap.max_inside,
-        },
-        "localized": summary.localized,
-        "gamma_from_gap": summary.gamma_from_gap,
-        "max_noninteger_deviation": summary.max_noninteger_deviation,
-        "gamma_folded": summary.gamma_folded,
-        "gamma_edge_estimate": summary.gamma_edge_estimate,
-    }
+    payload = asdict(summary)
+    payload["L"] = payload.pop("num_sites")
+    del payload["deviation_site"]  # the verdict carries it
+    return payload
 
 
 def lattice_dump(
@@ -465,13 +445,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NUMERICAL_FAILURES as exc:  # before ValueError, which LinAlgError is
         sys.stderr.write(f"numerical failure: {exc}\n")
         return NUMERICAL_EXIT
-    except (
-        ConfigurationError,
-        NonCliffordGateError,
-        DimensionMismatchError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    # configuration errors, NonCliffordGateError and DimensionMismatchError
+    # are ValueErrors; an unreadable or unwritable path is an OSError
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return CONFIG_EXIT
 

@@ -197,7 +197,6 @@ def summarize(lat: InfoLattice, gap_threshold: float = DEFAULT_GAP_THRESHOLD) ->
     gamma = float(I[cut:].sum())
 
     gap: Optional[GapWindow] = None
-    has_wide_interior_gap = False
     run_start: Optional[int] = None
     for scale in range(L + 1):
         below = scale < L and I[scale] < gap_threshold
@@ -205,16 +204,13 @@ def summarize(lat: InfoLattice, gap_threshold: float = DEFAULT_GAP_THRESHOLD) ->
             run_start = scale
         elif not below and run_start is not None:
             end = scale - 1
-            interior = run_start > 0 and end < L - 1
-            if interior:
+            if run_start > 0 and end < L - 1:
                 window = GapWindow(run_start, end, float(I[run_start : end + 1].max()))
                 if gap is None or window.width > gap.width:
                     gap = window
-                if window.width >= 2:
-                    has_wide_interior_gap = True
             run_start = None
 
-    localized = has_wide_interior_gap or gamma < gap_threshold
+    localized = (gap is not None and gap.width >= 2) or gamma < gap_threshold
     gamma_from_gap = float(I[gap.start :].sum()) if gap is not None else gamma
     dev, site = lat.max_integer_deviation()
     return LatticeSummary(

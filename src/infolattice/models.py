@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,6 @@ from .witness import GROUND_STATE_TOL, LatticeVerdict, check_tolerance, witness_
 OMEGA = np.exp(2j * np.pi / 3)
 
 CLOCK_Z = np.diag([1.0, OMEGA, OMEGA**2]).astype(complex)
-SHIFT_X = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
 
 # triplet embedding isometry: qutrit basis -> two-qubit pair (left qubit MSB)
 TRIPLET_ISOMETRY = np.array(
@@ -288,7 +287,8 @@ def symmetric_sector_isometry(n: int) -> np.ndarray:
     return _tables(n).cols
 
 
-# largest accepted eigen-residual ||H v - E v|| of a computed ground state
+# largest accepted relative eigen-residual ||H v - E v|| / |E| of a ground
+# state; H scales with the couplings, and |E| >= max(2hN, 2J(N-1)/3) > 0
 GROUND_STATE_RESIDUAL_TOL = 1e-9
 # Lanczos steps after which a ground-state solve counts as not converged
 LANCZOS_MAX_STEPS = 300
@@ -366,9 +366,11 @@ def symmetric_ground_state(spec: PottsSpec) -> tuple[PureState, float]:
     v = u[cols] * (1.0 / np.sqrt(3.0))
     v = v / np.linalg.norm(v)
     v = v * np.sign(v[int(np.argmax(np.abs(v)))])
-    residual = float(np.linalg.norm(h @ v - energy * v))
+    residual = float(np.linalg.norm(h @ v - energy * v)) / abs(energy)
     if residual > GROUND_STATE_RESIDUAL_TOL:
-        raise NumericalError(f"eigen-residual {residual} above {GROUND_STATE_RESIDUAL_TOL}")
+        raise NumericalError(
+            f"relative eigen-residual {residual} above {GROUND_STATE_RESIDUAL_TOL}"
+        )
     if float(np.linalg.norm(v[charge_operator(n)] - v)) > 1e-9:
         raise NumericalError("ground state left the symmetric sector")
     return PureState(v, (3,) * n), energy
@@ -397,11 +399,11 @@ class SweepPoint:
 
     length: int
     field: float
-    gamma: Optional[float]
-    gamma_folded: Optional[float]
-    omega: Optional[float]
-    localized: Optional[bool]
-    long_range_witnessed: Optional[bool]
+    gamma: Optional[float] = None
+    gamma_folded: Optional[float] = None
+    omega: Optional[float] = None
+    localized: Optional[bool] = None
+    long_range_witnessed: Optional[bool] = None
     origin: Optional[str] = None
     energy: Optional[float] = None
     error: Optional[str] = None
@@ -411,18 +413,9 @@ class SweepPoint:
         return [row[c] for c in SWEEP_CSV_COLUMNS]
 
     def to_dict(self) -> dict:
-        return {
-            "L": self.length,
-            "h": self.field,
-            "gamma": self.gamma,
-            "gamma_folded": self.gamma_folded,
-            "omega": self.omega,
-            "localized": self.localized,
-            "long_range_witnessed": self.long_range_witnessed,
-            "origin": self.origin,
-            "energy": self.energy,
-            "error": self.error,
-        }
+        d = asdict(self)
+        d["L"], d["h"] = d.pop("length"), d.pop("field")
+        return d
 
 
 SWEEP_CSV_COLUMNS = [
@@ -506,15 +499,6 @@ def potts_sweep(
                     length, field, coupling, gap_threshold, tol, granularity
                 )
             except NUMERICAL_FAILURES as exc:  # keep sweeping, record the failure
-                point = SweepPoint(
-                    length=length,
-                    field=field,
-                    gamma=None,
-                    gamma_folded=None,
-                    omega=None,
-                    localized=None,
-                    long_range_witnessed=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+                point = SweepPoint(length, field, error=f"{type(exc).__name__}: {exc}")
             rows.append(point)
     return rows

@@ -10,8 +10,7 @@ without an information gap.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import ConfigurationError
@@ -42,20 +41,10 @@ class LatticeVerdict:
     gap_threshold: float
 
     def to_dict(self) -> dict:
-        d = {
-            "has_nonstabilizerness": self.has_nonstabilizerness,
-            "max_noninteger_deviation": self.max_noninteger_deviation,
-            "deviation_site": None
-            if self.deviation_site is None
-            else {"n": self.deviation_site[0], "l": self.deviation_site[1]},
-            "localized": self.localized,
-            "gamma": self.gamma,
-            "gamma_is_integer": self.gamma_is_integer,
-            "long_range_witnessed": self.long_range_witnessed,
-            "origin": self.origin,
-            "tol": self.tol,
-            "gap_threshold": self.gap_threshold,
-        }
+        d = asdict(self)
+        if self.deviation_site is not None:
+            n, scale = self.deviation_site
+            d["deviation_site"] = {"n": n, "l": scale}
         return d
 
     def one_line(self) -> str:
@@ -73,9 +62,10 @@ class LatticeVerdict:
 
 
 def check_tolerance(tol: float) -> None:
-    """Raise ConfigurationError unless ``0 < tol < inf``; NaN fails too."""
-    if not 0 < tol < math.inf:
-        raise ConfigurationError(f"tolerance must be positive and finite, got {tol!r}")
+    """Raise ConfigurationError unless ``0 < tol < 0.5``; NaN fails too.  No
+    value lies farther than 0.5 from an integer, so a larger tol never fires."""
+    if not 0 < tol < 0.5:
+        raise ConfigurationError(f"tolerance must lie strictly between 0 and 0.5, got {tol!r}")
 
 
 def witness_nonstabilizerness(

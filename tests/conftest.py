@@ -1,7 +1,7 @@
 """Shared helpers: dense and elementary-gate oracles for brickwork circuits,
 a dense oracle for Pauli strings, the dense named references, the site reflection, Pauli products, spans
 and supports, gauge entropies, the Clifford word tables, the canonical
-random-circuit ensemble, and crossings of sweep curves."""
+random-circuit ensemble, crossings of sweep curves, and the qutrit shift."""
 
 from __future__ import annotations
 
@@ -23,6 +23,8 @@ PAULI_1Q = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# the qutrit shift X|k> = |k+1 mod 3>, as a dense oracle of the Potts field
+SHIFT_X = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
 
 
 def dense_pauli(p: PauliString) -> np.ndarray:

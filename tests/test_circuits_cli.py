@@ -411,13 +411,19 @@ class TestCLI:
             ["witness", "--state", "neel", "--L", "4", "--tol", "nan"],
             ["witness", "--state", "neel", "--L", "4", "--tol", "inf"],
             ["witness", "--state", "neel", "--L", "4", "--tol", "0"],
+            ["witness", "--state", "neel", "--L", "4", "--tol", "0.5"],
+            ["witness", "--state", "neel", "--L", "4", "--tol", "7"],
             ["witness", "--state", "neel", "--L", "4", "--gap-threshold", "nan"],
             ["lattice", "--state", "neel", "--L", "4", "--tol=-1e-6"],
+            ["lattice", "--state", "neel", "--L", "4", "--tol", "0.5"],
+            ["lattice", "--state", "neel", "--L", "4", "--tol", "7"],
             ["lattice", "--state", "neel", "--L", "4", "--gap-threshold", "nan"],
             ["summarize", "--state", "neel", "--L", "4", "--gap-threshold", "inf"],
             ["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "0"],
             ["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "nan"],
             ["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "inf"],
+            ["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "0.5"],
+            ["potts-sweep", "--sizes", "8", "--h", "0.1", "--tol", "7"],
             ["potts-sweep", "--sizes", "8", "--h", "0.1", "--gap-threshold=-inf"],
             ["potts-sweep", "--sizes", "8", "--h", "0.1", "--gap-threshold", "nan"],
         ],
@@ -528,6 +534,21 @@ class TestCLI:
 
     def test_missing_file(self, capsys):
         assert self.run("lattice", "--circuit", "/nonexistent.qc") == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", "--amplitudes", "{dir}"],
+            ["summarize", "--circuit", "{dir}"],
+            ["summarize", "--state", "ghz", "--L", "4", "--out", "{dir}"],
+        ],
+    )
+    def test_unreadable_path_exits_config(self, tmp_path, capsys, argv):
+        # a directory where a file is read or written: one error line, no traceback
+        assert self.run(*(arg.format(dir=tmp_path) for arg in argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
 
     def test_nan_amplitudes_rejected(self, tmp_path, capsys):
         path = tmp_path / "nan.txt"

@@ -7,14 +7,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from conftest import assert_lattices_close, crossing_brackets, reference_state
+from conftest import SHIFT_X, assert_lattices_close, crossing_brackets, reference_state
 from infolattice import PureState, compute_lattice, summarize
 from infolattice.errors import ConfigurationError, NumericalError
 from infolattice import models
 from infolattice.tableau import statevector_from_tableau
 from infolattice.models import (
     CLOCK_Z,
-    SHIFT_X,
     PottsOperator,
     PottsSpec,
     SWEEP_CSV_COLUMNS,
@@ -367,6 +366,14 @@ class TestSymmetricSector:
         monkeypatch.setattr(models, "_lanczos_lowest", off_by_one)
         with pytest.raises(NumericalError, match="eigen-residual"):
             symmetric_ground_state(PottsSpec(3, 1.0, 0.3))
+
+    def test_residual_check_scales_with_the_couplings(self):
+        # H(lambda J, lambda h) = lambda H(J, h): large couplings solve, and
+        # the ground state depends on h / J alone
+        strong_field, _ = symmetric_ground_state(PottsSpec(4, 1.0, 1e6))
+        weak_coupling, _ = symmetric_ground_state(PottsSpec(4, 1e-6, 1.0))
+        np.testing.assert_allclose(strong_field.amps, weak_coupling.amps, rtol=0, atol=1e-12)
+        symmetric_ground_state(PottsSpec(4, 1e9, 0.3))
 
     def test_ground_state_is_real(self):
         gs, _ = symmetric_ground_state(PottsSpec(4, 1.0, 0.3))

@@ -57,7 +57,7 @@ class TestSiteWitness:
 
     def test_bad_tolerance(self):
         lat = compute_lattice(reference_state("ghz", 4))
-        for tol in (0.0, -1.0, float("nan"), float("inf")):
+        for tol in (0.0, -1.0, 0.5, 7.0, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 witness_nonstabilizerness(lat, tol=tol)
 
@@ -116,7 +116,7 @@ class TestLongRangeWitness:
         _, summary = analyze(state)
         flags = [
             witness_long_range(summary, tol).long_range_witnessed
-            for tol in (1e-8, 1e-4, 1e-1, 0.75)
+            for tol in (1e-8, 1e-4, 1e-1, 0.45)
         ]
         # raising tol may only flip true -> false
         assert flags == sorted(flags, reverse=True)
